@@ -2,13 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-short test-shape test-obs test-coord test-scenario test-decider test-kernels bench bench-alloc bench-compare bench-throughput bench-throughput-compare bench-relay-gate bench-decider-gate alloc-gate repro claims soak fuzz fuzz-smoke fuzz-nightly chaos cover clean
+.PHONY: all build loc test test-race test-short test-shape test-obs test-coord test-scenario test-decider test-kernels bench bench-alloc bench-compare bench-throughput bench-throughput-compare bench-relay-gate bench-decider-gate alloc-gate repro claims soak fuzz fuzz-smoke fuzz-nightly chaos cover clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# Non-test Go line count of the program (perfbench, the benchmark harness,
+# excluded): the size figure refactors report their delta against.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -33,7 +38,8 @@ test-obs:
 	$(GO) test -run 'TestDecisionLogShowsBackoffAfterRevert|TestWriterObsCounters' -count=1 ./internal/stream/
 
 # Fleet-coordinator gates: the contention-regression suite (coordinated vs
-# solo on a shared simulated NIC, cheat sentinel included), the solo
+# solo on a shared simulated NIC, plus its sentinel: a fleet frozen by
+# core.Static(0) must lose the goodput axis), the solo
 # convergence property suite it falls back to, and the tunnel wiring tests
 # — all under the race detector (docs/coordination.md).
 test-coord:
@@ -54,8 +60,9 @@ test-scenario:
 
 # Decider policy gates (docs/deciders.md): the core policy suites under
 # -race (golden AlgorithmOne trace, all-policy convergence + determinism),
-# the per-policy Table II matrix with its two-axis bound and CheatStick
-# sentinel, the six-builtin scenario bound, and a 32-stream end-to-end
+# the per-policy Table II matrix with its two-axis bound and never-probe
+# sentinel (core.Static(0), labelled "cheatstick"), the six-builtin scenario
+# bound with its sentinel (RigPinAdaptiveNO), and a 32-stream end-to-end
 # smoke driving the lossy builtin through expdriver with -decider bandit.
 test-decider:
 	$(GO) test -race -count=1 ./internal/core/

@@ -62,8 +62,8 @@ type Writer = stream.Writer
 type Reader = stream.Reader
 
 // WriterConfig configures a Writer. The zero value is the paper's
-// configuration: four-level default ladder, t = 2 s, α = 0.2, 128 KB
-// blocks, adaptive level selection.
+// configuration: four-level default ladder, t = 2 s, 128 KB blocks,
+// adaptive level selection by Algorithm 1 with α = 0.2.
 type WriterConfig = stream.WriterConfig
 
 // WindowStat describes one completed decision window.
@@ -82,20 +82,26 @@ type Ladder = compress.Ladder
 // Level is one entry of a Ladder.
 type Level = compress.Level
 
-// DeciderConfig configures a standalone Decider.
-type DeciderConfig = core.Config
+// Policy is the level-selection seam: the writer feeds it every completed
+// Window and adopts the level it returns (WriterConfig.Policy).
+type Policy = core.Policy
 
-// Decider is the pluggable level-selection policy interface; AlgorithmOne is
-// the paper's Algorithm 1 implementation, for callers who want the decision
-// model without the stream layer. NewPolicy constructs learned alternatives
-// by name.
+// Window is one completed decision window: the input of a Policy.
+type Window = core.Window
+
+// Static pins one level (the paper's static baselines): Static(LevelLight)
+// is a Policy.
+type Static = core.Static
+
+// Decider is a Policy that explains itself: the registry policies NewPolicy
+// builds, for callers who want the decision model without the stream layer.
 type Decider = core.Decider
 
 // AlgorithmOne is the paper-faithful Algorithm 1 policy.
 type AlgorithmOne = core.AlgorithmOne
 
-// PolicyConfig configures a policy built by NewPolicy.
-type PolicyConfig = core.PolicyConfig
+// DeciderConfig configures a policy built by NewPolicy.
+type DeciderConfig = core.Config
 
 // Paper defaults.
 const (
@@ -112,9 +118,6 @@ const (
 	LevelMedium = stream.LevelMedium
 	LevelHeavy  = stream.LevelHeavy
 )
-
-// Adaptive marks WriterConfig.StaticLevel as "decided at runtime".
-const Adaptive = stream.Adaptive
 
 // NewWriter creates an adaptive compression writer in front of dst.
 func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
@@ -137,16 +140,11 @@ func NewParallelReader(src io.Reader, workers int) (*ParallelReader, error) {
 	return stream.NewParallelReader(src, workers)
 }
 
-// NewDecider creates a standalone paper-faithful decision model.
-func NewDecider(cfg DeciderConfig) (*AlgorithmOne, error) {
-	return core.NewDecider(cfg)
-}
-
 // NewPolicy constructs a level-selection policy by registry name: "algone"
 // (or empty) for the paper's Algorithm 1, "bandit" for the contextual-bandit
 // probe gate, "ewma" for the trend-predictive variant. See docs/deciders.md.
-func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
-	return core.NewPolicy(name, cfg)
+func NewPolicy(name string, cfg DeciderConfig) (Decider, error) {
+	return core.New(name, cfg)
 }
 
 // DefaultLadder returns the paper's four-level ladder: NO, LIGHT (fast

@@ -46,7 +46,7 @@ func TestPublicStaticLevels(t *testing.T) {
 	data := corpus.Generate(corpus.High, 256<<10, 1)
 	for _, lvl := range []int{adaptio.LevelNo, adaptio.LevelLight, adaptio.LevelMedium, adaptio.LevelHeavy} {
 		var wire bytes.Buffer
-		w, err := adaptio.NewWriter(&wire, adaptio.WriterConfig{Static: true, StaticLevel: lvl})
+		w, err := adaptio.NewWriter(&wire, adaptio.WriterConfig{Policy: adaptio.Static(lvl)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +92,11 @@ func TestPublicParallelPaths(t *testing.T) {
 }
 
 func TestPublicDecider(t *testing.T) {
-	d, err := adaptio.NewDecider(adaptio.DeciderConfig{Levels: 4})
+	d, err := adaptio.NewPolicy("", adaptio.DeciderConfig{Levels: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lvl := d.Observe(100)
+	lvl := d.Observe(adaptio.Window{Rate: 100})
 	if lvl < 0 || lvl > 3 {
 		t.Fatalf("level %d out of range", lvl)
 	}
@@ -151,7 +151,7 @@ func TestCustomCodecRegistration(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	w, err := adaptio.NewWriter(&wire, adaptio.WriterConfig{
-		Ladder: ladder, Static: true, StaticLevel: 1,
+		Ladder: ladder, Policy: adaptio.Static(1),
 	})
 	if err != nil {
 		t.Fatal(err)

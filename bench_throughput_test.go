@@ -11,6 +11,7 @@
 package adaptio_test
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"context"
 	"io"
@@ -114,7 +115,7 @@ func buildWire(b *testing.B, level int) (app, wire []byte) {
 	b.Helper()
 	app = benchCorpus("moderate", streamVolume)
 	var buf bytes.Buffer
-	w, err := stream.NewWriter(&buf, stream.WriterConfig{Static: true, StaticLevel: level})
+	w, err := stream.NewWriter(&buf, stream.WriterConfig{Policy: core.Static(level)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func BenchmarkThroughputStreamWriter(b *testing.B) {
 	for _, lv := range throughputLevels {
 		b.Run(lv.name, func(b *testing.B) {
 			app := benchCorpus("moderate", streamVolume)
-			w, err := stream.NewWriter(io.Discard, stream.WriterConfig{Static: true, StaticLevel: lv.level})
+			w, err := stream.NewWriter(io.Discard, stream.WriterConfig{Policy: core.Static(lv.level)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func BenchmarkThroughputStreamWriter(b *testing.B) {
 func BenchmarkThroughputStreamWriterParallel(b *testing.B) {
 	app := benchCorpus("moderate", streamVolume)
 	w, err := stream.NewWriter(io.Discard, stream.WriterConfig{
-		Static: true, StaticLevel: stream.LevelLight, Parallelism: 4,
+		Policy: core.Static(stream.LevelLight), Parallelism: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -197,7 +198,7 @@ func BenchmarkThroughputParallelWriter(b *testing.B) {
 		b.Run(lv.name, func(b *testing.B) {
 			app := benchCorpus("moderate", streamVolume)
 			w, err := stream.NewParallelWriter(io.Discard, stream.WriterConfig{
-				Static: true, StaticLevel: lv.level,
+				Policy: core.Static(lv.level),
 			}, 4)
 			if err != nil {
 				b.Fatal(err)
@@ -337,7 +338,7 @@ func benchTunnelRelay(b *testing.B, cfg tunnel.Config) {
 // BenchmarkThroughputTunnelRelay is the historical gate benchmark: a LIGHT
 // static tunnel pair, so every byte runs the codec both ways.
 func BenchmarkThroughputTunnelRelay(b *testing.B) {
-	benchTunnelRelay(b, tunnel.Config{Static: true, StaticLevel: stream.LevelLight})
+	benchTunnelRelay(b, tunnel.Config{Policy: tunnel.StaticPolicy(stream.LevelLight)})
 }
 
 // BenchmarkThroughputRelayNoLevel pins the framed zero-copy path: NO level
@@ -345,7 +346,7 @@ func BenchmarkThroughputTunnelRelay(b *testing.B) {
 // and CRC-verified direct delivery on the decompress side — framing overhead
 // without a single user-space buffer-to-buffer copy.
 func BenchmarkThroughputRelayNoLevel(b *testing.B) {
-	benchTunnelRelay(b, tunnel.Config{Static: true, StaticLevel: stream.LevelNo})
+	benchTunnelRelay(b, tunnel.Config{Policy: tunnel.StaticPolicy(stream.LevelNo)})
 }
 
 // BenchmarkThroughputRelayPassthrough pins the unframed path: both endpoints

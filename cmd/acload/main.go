@@ -79,11 +79,24 @@ func main() {
 	if err != nil {
 		log.Fatalf("acload: %v", err)
 	}
-	if *decider != "" && !core.ValidPolicy(*decider) {
-		log.Fatalf("acload: unknown -decider %q (want one of %v)", *decider, core.PolicyNames())
+	if *decider != "" && *static != -1 {
+		log.Fatalf("acload: -decider requires -static -1 (a pinned level leaves nothing to decide)")
 	}
-	if *decider != "" && *static != adaptio.Adaptive {
-		log.Fatalf("acload: -decider requires -static %d (a pinned level leaves nothing to decide)", adaptio.Adaptive)
+	// Each endpoint gets its own factory, so connection i's seed depends
+	// only on the flags and i, not on the other endpoint's connections.
+	newPolicy := func() tunnel.PolicyFactory {
+		if *static != -1 {
+			return tunnel.StaticPolicy(*static)
+		}
+		f, err := tunnel.DeciderPolicy(*decider, core.Config{
+			Levels: len(adaptio.DefaultLadder()),
+			Alpha:  *alpha,
+			Seed:   *deciderSeed,
+		})
+		if err != nil {
+			log.Fatalf("acload: -decider: %v", err)
+		}
+		return f
 	}
 	if *decider != "" && *addr != "" {
 		log.Fatalf("acload: -decider only applies to the self-contained tunnel pair, not an external -addr entry")
@@ -112,26 +125,21 @@ func main() {
 	if target == "" {
 		tcfg := tunnel.Config{
 			Window:        *window,
-			Alpha:         *alpha,
 			ShutdownGrace: *grace,
-			Decider:       *decider,
-			DeciderSeed:   *deciderSeed,
 			Logf:          nil,
-		}
-		if *static != adaptio.Adaptive {
-			tcfg.Static = true
-			tcfg.StaticLevel = *static
 		}
 		echoAddr, err := startEcho()
 		if err != nil {
 			log.Fatalf("acload: echo sink: %v", err)
 		}
 		exitCfg := tcfg
+		exitCfg.Policy = newPolicy()
 		exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echoAddr, exitCfg)
 		if err != nil {
 			log.Fatalf("acload: exit: %v", err)
 		}
 		entryCfg := tcfg
+		entryCfg.Policy = newPolicy()
 		entryCfg.MaxConns = *maxConns
 		entryCfg.AcceptQueue = *acceptQueue
 		entryCfg.Obs = reg.Scope("tunnel")

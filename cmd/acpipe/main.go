@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		dec      = flag.Bool("d", false, "decompress")
-		static   = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
+		static   = flag.Int("static", -1, "static level 0..3, or -1 for adaptive")
 		window   = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha    = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
 		parallel = flag.Int("p", 1, "compress blocks on this many parallel workers")
@@ -44,12 +44,14 @@ func main() {
 }
 
 func compressStream(in io.Reader, out io.Writer, static int, window time.Duration, alpha float64, parallel int, stats bool) error {
-	cfg := adaptio.WriterConfig{Window: window, Alpha: alpha, Parallelism: parallel}
-	if static != adaptio.Adaptive {
-		cfg.Static = true
-		cfg.StaticLevel = static
+	var policy adaptio.Policy = adaptio.Static(static)
+	if static == -1 {
+		var err error
+		if policy, err = adaptio.NewPolicy("", adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder()), Alpha: alpha}); err != nil {
+			return err
+		}
 	}
-	w, err := adaptio.NewWriter(out, cfg)
+	w, err := adaptio.NewWriter(out, adaptio.WriterConfig{Window: window, Policy: policy, Parallelism: parallel})
 	if err != nil {
 		return err
 	}

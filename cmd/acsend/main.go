@@ -33,7 +33,7 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:9911", "receiver address")
 		gb     = flag.Float64("gb", 1, "data volume in GB (decimal)")
 		kind   = flag.String("kind", "HIGH", "data compressibility: HIGH, MODERATE, LOW or SWITCH")
-		static = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
+		static = flag.Int("static", -1, "static level 0..3, or -1 for adaptive")
 		window = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha  = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
 		verb   = flag.Bool("v", false, "log every decision window")
@@ -63,14 +63,16 @@ func main() {
 	}
 	defer conn.Close()
 
+	var policy adaptio.Policy = adaptio.Static(*static)
+	if *static == -1 {
+		if policy, err = adaptio.NewPolicy("", adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder()), Alpha: *alpha}); err != nil {
+			fatal(err)
+		}
+	}
 	cfg := adaptio.WriterConfig{
 		Window: *window,
-		Alpha:  *alpha,
+		Policy: policy,
 		Obs:    reg.Scope("stream").Scope("writer"),
-	}
-	if *static != adaptio.Adaptive {
-		cfg.Static = true
-		cfg.StaticLevel = *static
 	}
 	names := adaptio.DefaultLadder().Names()
 	if *verb {

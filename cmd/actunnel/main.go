@@ -39,8 +39,8 @@ func main() {
 		target      = flag.String("target", "", "address to forward to (exit endpoint or final service)")
 		window      = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
-		static      = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
-		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma")
+		static      = flag.Int("static", -1, "static level 0..3, or -1 for adaptive")
+		decider     = flag.String("decider", "", "level-selection policy for adaptive mode (under -coord, each stream's detach fallback): algone (default), bandit, or ewma")
 		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies")
 		quiet       = flag.Bool("q", false, "suppress per-connection statistics")
 		noProbe     = flag.Bool("no-probe", false, "disable the entropy pre-probe and run every block through the codec, even ones judged incompressible")
@@ -71,7 +71,6 @@ func main() {
 	block.PublishMetrics(reg.Scope("block"))
 	cfg := tunnel.Config{
 		Window:        *window,
-		Alpha:         *alpha,
 		Logf:          log.Printf,
 		IdleTimeout:   *idleTimeout,
 		DialRetries:   *dialRetries,
@@ -81,14 +80,9 @@ func main() {
 		AcceptQueue:   *acceptQueue,
 		Passthrough:   *passthrough,
 		FlushInterval: *flushIvl,
-		Decider:       *decider,
-		DeciderSeed:   *deciderSeed,
 		Obs:           reg.Scope("tunnel"),
 	}
-	if *decider != "" && !core.ValidPolicy(*decider) {
-		log.Fatalf("actunnel: unknown -decider %q (want one of %v)", *decider, core.PolicyNames())
-	}
-	if *decider != "" && *static != adaptio.Adaptive {
+	if *decider != "" && *static != -1 {
 		log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
 	}
 	if *metricsAddr != "" {
@@ -99,18 +93,17 @@ func main() {
 			}
 		}()
 	}
-	if *static != adaptio.Adaptive {
-		cfg.Static = true
-		cfg.StaticLevel = *static
-	}
 	if *noProbe {
 		pr := probe.Disabled()
 		cfg.Probe = &pr
 	}
-	if *coordOn {
-		if cfg.Static {
+	switch {
+	case *static != -1:
+		if *coordOn {
 			log.Fatalf("actunnel: -coord is incompatible with -static (a pinned level leaves nothing to coordinate)")
 		}
+		cfg.Policy = tunnel.StaticPolicy(*static)
+	case *coordOn:
 		if *passthrough {
 			log.Fatalf("actunnel: -coord is incompatible with -passthrough (an unframed relay has no levels to coordinate)")
 		}
@@ -118,14 +111,24 @@ func main() {
 			BudgetBytesPerSec: *coordBudget * 1e6,
 			Levels:            len(adaptio.DefaultLadder()),
 			Alpha:             *alpha,
+			SoloPolicy:        *decider,
+			SoloSeed:          *deciderSeed,
 			Obs:               reg.Scope("coord"),
 		})
 		if err != nil {
 			log.Fatalf("actunnel: %v", err)
 		}
-		cfg.Coord = c
-		cfg.CoordWeight = *coordWeight
-		cfg.CoordTenant = *coordTenant
+		cfg.Policy = tunnel.CoordPolicy(c, coord.StreamConfig{Weight: *coordWeight, Tenant: *coordTenant})
+	default:
+		var err error
+		cfg.Policy, err = tunnel.DeciderPolicy(*decider, core.Config{
+			Levels: len(adaptio.DefaultLadder()),
+			Alpha:  *alpha,
+			Seed:   *deciderSeed,
+		})
+		if err != nil {
+			log.Fatalf("actunnel: -decider: %v", err)
+		}
 	}
 	if !*quiet {
 		names := adaptio.DefaultLadder().Names()

@@ -12,7 +12,7 @@ import (
 
 // runDeciderMatrix is the `-decider-matrix` entry point: the Table II
 // completion-time grid under every registered decider policy plus the
-// CheatStick sentinel, printed as the per-policy comparison table and
+// never-probe sentinel (experiments.SentinelPolicy), printed as the per-policy comparison table and
 // optionally written as a benchfmt JSON artifact (-json-out) in the schema
 // of the committed BENCH_decider.json baseline. The run is fully
 // deterministic in -seed, so the artifact is byte-reproducible and
@@ -34,7 +34,7 @@ func runDeciderMatrix(seed uint64, jsonOut string) int {
 
 	code := 0
 	for _, policy := range res.Policies {
-		if policy == core.PolicyAlgorithmOne || policy == core.PolicyCheatStick {
+		if policy == core.PolicyAlgorithmOne || policy == experiments.SentinelPolicy {
 			continue
 		}
 		violations := res.CheckBound(policy, core.PolicyAlgorithmOne, experiments.DefaultThroughputTolerance)

@@ -52,7 +52,7 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write each experiment's raw data as CSV into this directory")
 		scenario   = flag.String("scenario", "", "run a runtime scenario instead of the paper experiments: 'soak' (docs/scaling.md), 'sharednic' (docs/coordination.md), a built-in scenario-DSL name (diurnal, heavytail, lossy, flaps, hetfleet, diurnal-lossy-1000 — docs/scenarios.md), or a path to a scenario JSON file")
 		decider    = flag.String("decider", "", "for scenario-DSL runs: level-selection policy driving the adaptive variant (algone, bandit, ewma — docs/deciders.md)")
-		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the CheatStick sentinel (docs/deciders.md)")
+		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the never-probe sentinel (docs/deciders.md)")
 		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the benchfmt JSON artifact to this file (schema of BENCH_decider.json, gated by cmd/benchdiff -mode decider)")
 		streams    = flag.Int("streams", 128, "fleet size for -scenario sharednic")
 		metricsOut = flag.String("metrics-out", "", "for runtime scenarios: write the JSON result artifact to this file (CI artifact)")
@@ -290,7 +290,7 @@ func runSoak(seed uint64) int {
 		workers  = 192
 		maxConns = 48
 	)
-	tcfg := tunnel.Config{Static: true, StaticLevel: 1, ShutdownGrace: 5 * time.Second}
+	tcfg := tunnel.Config{Policy: tunnel.StaticPolicy(1), ShutdownGrace: 5 * time.Second}
 	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", ln.Addr().String(), tcfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "soak: exit: %v\n", err)

@@ -39,7 +39,7 @@ func runSharedNIC(seed uint64, streams int, metricsOut string) int {
 	}
 	silver := streams - gold
 
-	fleet := func(mkScheme func(i int, weight float64, tenant string) cloudsim.Scheme) []cloudsim.FleetStream {
+	fleet := func(mkScheme func(i int, weight float64, tenant string) core.Policy) []cloudsim.FleetStream {
 		out := make([]cloudsim.FleetStream, streams)
 		for i := 0; i < streams; i++ {
 			weight, tenant := 1.0, "silver"
@@ -56,7 +56,7 @@ func runSharedNIC(seed uint64, streams int, metricsOut string) int {
 			}
 			out[i] = cloudsim.FleetStream{
 				Kind:      kind,
-				Scheme:    mkScheme(i, weight, tenant),
+				Policy:    mkScheme(i, weight, tenant),
 				Weight:    weight,
 				CPUFactor: cpu,
 				Tenant:    tenant,
@@ -64,7 +64,7 @@ func runSharedNIC(seed uint64, streams int, metricsOut string) int {
 		}
 		return out
 	}
-	run := func(mkScheme func(i int, weight float64, tenant string) cloudsim.Scheme) (cloudsim.FleetResult, error) {
+	run := func(mkScheme func(i int, weight float64, tenant string) core.Policy) (cloudsim.FleetResult, error) {
 		return cloudsim.RunFleet(cloudsim.FleetConfig{
 			NICMBps:       nicMBps,
 			Windows:       windows,
@@ -80,8 +80,8 @@ func runSharedNIC(seed uint64, streams int, metricsOut string) int {
 	fmt.Printf("Shared-NIC scenario: %d streams (%d silver w=1, %d gold w=%.0f) on a %.0f MB/s NIC, %d x %.0f s windows, seed %d\n",
 		streams, silver, gold, goldWeight, nicMBps, windows, windowSecs, seed)
 
-	solo, err := run(func(int, float64, string) cloudsim.Scheme {
-		return core.MustNewDecider(core.Config{Levels: 4})
+	solo, err := run(func(int, float64, string) core.Policy {
+		return core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4})
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sharednic: solo fleet: %v\n", err)
@@ -99,7 +99,7 @@ func runSharedNIC(seed uint64, streams int, metricsOut string) int {
 		return 1
 	}
 	var handles []*coord.Stream
-	coordinated, err := run(func(i int, weight float64, tenant string) cloudsim.Scheme {
+	coordinated, err := run(func(i int, weight float64, tenant string) core.Policy {
 		s := c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
 		handles = append(handles, s)
 		return s

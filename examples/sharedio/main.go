@@ -28,13 +28,13 @@ func main() {
 		fmt.Printf("=== %s data (%s-like) ===\n", kind, kind.FileName())
 		fmt.Printf("%8s %10s %16s %12s %9s\n", "bg conns", "NO", "best static", "DYNAMIC", "speedup")
 		for bg := 0; bg <= 3; bg++ {
-			run := func(s cloudsim.Scheme) float64 {
+			run := func(s core.Policy) float64 {
 				res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 					Platform:   cloudsim.KVMParavirt,
 					Kind:       cloudsim.ConstantKind(kind),
 					TotalBytes: volume,
 					Background: bg,
-					Scheme:     s,
+					Policy:     s,
 					Profiles:   cloudsim.ReferenceProfiles(),
 					Seed:       uint64(bg) + 7,
 				})
@@ -43,14 +43,14 @@ func main() {
 				}
 				return res.CompletionSeconds
 			}
-			no := run(cloudsim.StaticScheme(0))
+			no := run(core.Static(0))
 			bestT, bestName := no, "NO"
 			for lvl := 1; lvl < 4; lvl++ {
-				if t := run(cloudsim.StaticScheme(lvl)); t < bestT {
+				if t := run(core.Static(lvl)); t < bestT {
 					bestT, bestName = t, names[lvl]
 				}
 			}
-			dyn := run(core.MustNewDecider(core.Config{Levels: 4}))
+			dyn := run(core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}))
 			fmt.Printf("%8d %9.0fs %9.0fs (%s)%*s %11.0fs %8.1fx\n",
 				bg, no, bestT, bestName, 6-len(bestName), "", dyn, no/dyn)
 		}

@@ -20,15 +20,16 @@
 //   - Wiseman, Schwan & Widener (2004): a short sampling phase measures
 //     each level once, then hard-coded parameters fix the choice.
 //
-// All types implement cloudsim.Scheme and cloudsim.MetricsScheme, so they
-// run in the identical transfer engine as the paper's DYNAMIC scheme for
-// the A4 ablation (DESIGN.md).
+// All types implement core.Policy (and, except Wiseman, the simulator-only
+// cloudsim.MetricsScheme extension), so they run in the identical transfer
+// engine as the paper's DYNAMIC scheme for the A4 ablation (DESIGN.md).
 package baseline
 
 import (
 	"fmt"
 
 	"adaptio/internal/cloudsim"
+	"adaptio/internal/core"
 )
 
 // Training holds what an offline calibration phase on a verifiably unloaded
@@ -100,7 +101,7 @@ func NewNCTCSys(levels int) *NCTCSys {
 	}
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (n *NCTCSys) Level() int { return n.level }
 
 // ObserveMetrics implements cloudsim.MetricsScheme.
@@ -110,9 +111,9 @@ func (n *NCTCSys) ObserveMetrics(m cloudsim.GuestMetrics) {
 	n.haveMetrics = true
 }
 
-// Observe implements cloudsim.Scheme. The application data rate is ignored:
+// Observe implements core.Policy. The application data rate is ignored:
 // NCTCSys decides from its sensors only.
-func (n *NCTCSys) Observe(float64) int {
+func (n *NCTCSys) Observe(core.Window) int {
 	if !n.haveMetrics {
 		return n.level
 	}
@@ -160,7 +161,7 @@ func NewKrintzSucu(t Training) (*KrintzSucu, error) {
 	return &KrintzSucu{training: t}, nil
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (k *KrintzSucu) Level() int { return k.level }
 
 // ObserveMetrics implements cloudsim.MetricsScheme.
@@ -170,8 +171,8 @@ func (k *KrintzSucu) ObserveMetrics(m cloudsim.GuestMetrics) {
 	k.haveMetrics = true
 }
 
-// Observe implements cloudsim.Scheme.
-func (k *KrintzSucu) Observe(float64) int {
+// Observe implements core.Policy.
+func (k *KrintzSucu) Observe(core.Window) int {
 	if !k.haveMetrics {
 		return k.level
 	}
@@ -227,7 +228,7 @@ func NewJeannot(t Training) (*Jeannot, error) {
 	return &Jeannot{training: t, QueueCapMB: 64, TrendMB: 1}, nil
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (j *Jeannot) Level() int { return j.level }
 
 // ObserveMetrics implements cloudsim.MetricsScheme.
@@ -238,8 +239,8 @@ func (j *Jeannot) ObserveMetrics(m cloudsim.GuestMetrics) {
 	j.haveMetrics = true
 }
 
-// Observe implements cloudsim.Scheme.
-func (j *Jeannot) Observe(float64) int {
+// Observe implements core.Policy.
+func (j *Jeannot) Observe(core.Window) int {
 	if !j.haveMetrics {
 		return j.level
 	}
@@ -283,11 +284,12 @@ func NewWiseman(levels int) (*Wiseman, error) {
 	return &Wiseman{levels: levels, sampled: make([]float64, levels)}, nil
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (w *Wiseman) Level() int { return w.level }
 
-// Observe implements cloudsim.Scheme.
-func (w *Wiseman) Observe(rate float64) int {
+// Observe implements core.Policy.
+func (w *Wiseman) Observe(win core.Window) int {
+	rate := win.Rate
 	if w.phase < w.levels {
 		// Record the rate observed at the level just run and advance
 		// the sampling sweep.

@@ -14,7 +14,7 @@ var (
 	_ cloudsim.MetricsScheme = (*baseline.NCTCSys)(nil)
 	_ cloudsim.MetricsScheme = (*baseline.KrintzSucu)(nil)
 	_ cloudsim.MetricsScheme = (*baseline.Jeannot)(nil)
-	_ cloudsim.Scheme        = (*baseline.Wiseman)(nil)
+	_ core.Policy            = (*baseline.Wiseman)(nil)
 )
 
 func TestTrainingValidate(t *testing.T) {
@@ -63,7 +63,7 @@ func TestNCTCSysThresholds(t *testing.T) {
 	}
 	for _, c := range cases {
 		n.ObserveMetrics(cloudsim.GuestMetrics{DisplayedBandwidthMBps: c.bw, DisplayedIdlePct: c.idle})
-		if got := n.Observe(0); got != c.want {
+		if got := n.Observe(core.Window{Rate: 0}); got != c.want {
 			t.Errorf("bw=%v idle=%v: level %d, want %d", c.bw, c.idle, got, c.want)
 		}
 	}
@@ -71,7 +71,7 @@ func TestNCTCSysThresholds(t *testing.T) {
 
 func TestNCTCSysNoMetricsNoMove(t *testing.T) {
 	n := baseline.NewNCTCSys(4)
-	if n.Observe(100) != 0 {
+	if n.Observe(core.Window{Rate: 100}) != 0 {
 		t.Fatal("moved without metrics")
 	}
 }
@@ -84,17 +84,17 @@ func TestKrintzSucuPicksByTrainedModel(t *testing.T) {
 	// Plenty of displayed idle, gigabit-class bandwidth: trained model
 	// says LIGHT maximizes min(comp*idle, bw/ratio).
 	k.ObserveMetrics(cloudsim.GuestMetrics{DisplayedIdlePct: 90, DisplayedBandwidthMBps: 88})
-	if got := k.Observe(0); got != 1 {
+	if got := k.Observe(core.Window{Rate: 0}); got != 1 {
 		t.Fatalf("unloaded gigabit: level %d, want 1 (LIGHT)", got)
 	}
 	// Starved network: heavy compression pays off in the trained model.
 	k.ObserveMetrics(cloudsim.GuestMetrics{DisplayedIdlePct: 90, DisplayedBandwidthMBps: 2})
-	if got := k.Observe(0); got != 3 {
+	if got := k.Observe(core.Window{Rate: 0}); got != 3 {
 		t.Fatalf("starved network: level %d, want 3 (HEAVY)", got)
 	}
 	// Displayed CPU exhausted: compression appears unaffordable.
 	k.ObserveMetrics(cloudsim.GuestMetrics{DisplayedIdlePct: 1, DisplayedBandwidthMBps: 88})
-	if got := k.Observe(0); got != 0 {
+	if got := k.Observe(core.Window{Rate: 0}); got != 0 {
 		t.Fatalf("no displayed idle: level %d, want 0", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestJeannotFollowsQueueTrend(t *testing.T) {
 	// Compressor far outruns the network: queue grows, level rises.
 	for i := 0; i < 3; i++ {
 		j.ObserveMetrics(cloudsim.GuestMetrics{CompressorMBps: 500, NetDrainMBps: 10, WindowSeconds: 2})
-		j.Observe(0)
+		j.Observe(core.Window{Rate: 0})
 	}
 	if j.Level() == 0 {
 		t.Fatal("growing queue did not raise the level")
@@ -115,7 +115,7 @@ func TestJeannotFollowsQueueTrend(t *testing.T) {
 	// Network far outruns the compressor: queue drains, level falls.
 	for i := 0; i < 6; i++ {
 		j.ObserveMetrics(cloudsim.GuestMetrics{CompressorMBps: 1, NetDrainMBps: 100, WindowSeconds: 2})
-		j.Observe(0)
+		j.Observe(core.Window{Rate: 0})
 	}
 	if j.Level() != 0 {
 		t.Fatalf("draining queue did not lower the level, at %d", j.Level())
@@ -133,7 +133,7 @@ func TestWisemanSamplesThenLocks(t *testing.T) {
 		if got := w.Level(); got != i {
 			t.Fatalf("sample %d runs at level %d", i, got)
 		}
-		w.Observe(rates[i])
+		w.Observe(core.Window{Rate: rates[i]})
 	}
 	if w.Level() != 2 {
 		t.Fatalf("locked level %d, want 2", w.Level())
@@ -141,26 +141,26 @@ func TestWisemanSamplesThenLocks(t *testing.T) {
 	// Whatever happens later, the level never changes again (the staleness
 	// the paper criticizes).
 	for _, r := range []float64{1, 1000, 3} {
-		if got := w.Observe(r); got != 2 {
+		if got := w.Observe(core.Window{Rate: r}); got != 2 {
 			t.Fatalf("post-lock level %d", got)
 		}
 	}
 }
 
 // runScheme executes a scheme in the real transfer engine.
-func runScheme(t *testing.T, s cloudsim.Scheme, kind corpus.Kind, bg int) float64 {
+func runScheme(t *testing.T, s core.Policy, kind corpus.Kind, bg int) float64 {
 	t.Helper()
 	return runSchemeOn(t, cloudsim.KVMParavirt, s, kind, bg)
 }
 
-func runSchemeOn(t *testing.T, p cloudsim.Platform, s cloudsim.Scheme, kind corpus.Kind, bg int) float64 {
+func runSchemeOn(t *testing.T, p cloudsim.Platform, s core.Policy, kind corpus.Kind, bg int) float64 {
 	t.Helper()
 	res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 		Platform:   p,
 		Kind:       cloudsim.ConstantKind(kind),
 		TotalBytes: 50e9,
 		Background: bg,
-		Scheme:     s,
+		Policy:     s,
 		Profiles:   cloudsim.ReferenceProfiles(),
 		Seed:       99,
 	})
@@ -176,12 +176,12 @@ func runSchemeOn(t *testing.T, p cloudsim.Platform, s cloudsim.Scheme, kind corp
 // lands measurably above the optimal static NO level, while the rate-based
 // DYNAMIC scheme stays within the paper's 22% bound.
 func TestBaselinesMisledOnIncompressibleData(t *testing.T) {
-	no := runScheme(t, cloudsim.StaticScheme(0), corpus.Low, 0)
+	no := runScheme(t, core.Static(0), corpus.Low, 0)
 
 	k, _ := baseline.NewKrintzSucu(baseline.DefaultTraining())
 	ks := runScheme(t, k, corpus.Low, 0)
 
-	dyn := runScheme(t, core.MustNewDecider(core.Config{Levels: 4}), corpus.Low, 0)
+	dyn := runScheme(t, core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}), corpus.Low, 0)
 
 	if ks <= no*1.05 {
 		t.Errorf("KrintzSucu on LOW (%.0f s) should be misled vs NO (%.0f s)", ks, no)
@@ -199,7 +199,7 @@ func TestMetricSchemesFlapOnEC2(t *testing.T) {
 	k, _ := baseline.NewKrintzSucu(baseline.DefaultTraining())
 	ks := runSchemeOn(t, cloudsim.EC2, k, corpus.High, 0)
 
-	dyn := runSchemeOn(t, cloudsim.EC2, core.MustNewDecider(core.Config{Levels: 4}), corpus.High, 0)
+	dyn := runSchemeOn(t, cloudsim.EC2, core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}), corpus.High, 0)
 
 	if dyn >= ks {
 		t.Errorf("on EC2/HIGH, DYNAMIC (%.0f s) should beat the metric-driven baseline (%.0f s)", dyn, ks)
@@ -212,7 +212,7 @@ func TestMetricSchemesFlapOnEC2(t *testing.T) {
 func TestBaselinesRunEndToEnd(t *testing.T) {
 	train := baseline.DefaultTraining()
 	for _, kind := range corpus.Kinds() {
-		schemes := map[string]cloudsim.Scheme{}
+		schemes := map[string]core.Policy{}
 		schemes["nctcsys"] = baseline.NewNCTCSys(4)
 		k, _ := baseline.NewKrintzSucu(train)
 		schemes["krintz"] = k

@@ -11,14 +11,14 @@ import (
 
 const fiftyGB = 50e9 // the paper's 50 GB data volume
 
-func run(t *testing.T, kind corpus.Kind, bg int, scheme Scheme, seed uint64) TransferResult {
+func run(t *testing.T, kind corpus.Kind, bg int, scheme core.Policy, seed uint64) TransferResult {
 	t.Helper()
 	res, err := RunTransfer(TransferConfig{
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(kind),
 		TotalBytes: fiftyGB,
 		Background: bg,
-		Scheme:     scheme,
+		Policy:     scheme,
 		Profiles:   ReferenceProfiles(),
 		Seed:       seed,
 	})
@@ -28,9 +28,9 @@ func run(t *testing.T, kind corpus.Kind, bg int, scheme Scheme, seed uint64) Tra
 	return res
 }
 
-func dynamic(t *testing.T) Scheme {
+func dynamic(t *testing.T) core.Policy {
 	t.Helper()
-	return core.MustNewDecider(core.Config{Levels: 4})
+	return core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4})
 }
 
 func TestPlatformStrings(t *testing.T) {
@@ -48,8 +48,8 @@ func TestPlatformStrings(t *testing.T) {
 }
 
 func TestStaticScheme(t *testing.T) {
-	s := StaticScheme(2)
-	if s.Level() != 2 || s.Observe(123) != 2 {
+	s := core.Static(2)
+	if s.Level() != 2 || s.Observe(core.Window{Rate: 123}) != 2 {
 		t.Fatal("static scheme moved")
 	}
 }
@@ -96,15 +96,15 @@ func TestRunTransferValidation(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     StaticScheme(0),
+		Policy:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 	}
 	cases := []func(*TransferConfig){
 		func(c *TransferConfig) { c.TotalBytes = 0 },
-		func(c *TransferConfig) { c.Scheme = nil },
+		func(c *TransferConfig) { c.Policy = nil },
 		func(c *TransferConfig) { c.Kind = nil },
 		func(c *TransferConfig) { c.Profiles = nil },
-		func(c *TransferConfig) { c.Scheme = StaticScheme(9) },
+		func(c *TransferConfig) { c.Policy = core.Static(9) },
 		func(c *TransferConfig) { c.Platform = Platform(42) },
 	}
 	for i, mutate := range cases {
@@ -120,12 +120,12 @@ func TestRunTransferValidation(t *testing.T) {
 }
 
 func TestTransferDeterministicPerSeed(t *testing.T) {
-	a := run(t, corpus.Moderate, 1, StaticScheme(1), 42)
-	b := run(t, corpus.Moderate, 1, StaticScheme(1), 42)
+	a := run(t, corpus.Moderate, 1, core.Static(1), 42)
+	b := run(t, corpus.Moderate, 1, core.Static(1), 42)
 	if a.CompletionSeconds != b.CompletionSeconds {
 		t.Fatalf("same seed diverged: %v vs %v", a.CompletionSeconds, b.CompletionSeconds)
 	}
-	c := run(t, corpus.Moderate, 1, StaticScheme(1), 43)
+	c := run(t, corpus.Moderate, 1, core.Static(1), 43)
 	if a.CompletionSeconds == c.CompletionSeconds {
 		t.Fatal("different seeds produced identical noisy results")
 	}
@@ -142,7 +142,7 @@ func TestTableIIZeroConnCalibration(t *testing.T) {
 	}
 	for kind, want := range paper {
 		for lvl := 0; lvl < 4; lvl++ {
-			got := run(t, kind, 0, StaticScheme(lvl), 7).CompletionSeconds
+			got := run(t, kind, 0, core.Static(lvl), 7).CompletionSeconds
 			if rel := math.Abs(got-want[lvl]) / want[lvl]; rel > 0.08 {
 				t.Errorf("%v level %d: %0.f s vs paper %0.f s (%.0f%% off)",
 					kind, lvl, got, want[lvl], rel*100)
@@ -160,7 +160,7 @@ func TestTableIIShape(t *testing.T) {
 		for lvl := 0; lvl < 4; lvl++ {
 			var times [4]float64
 			for bg := 0; bg <= 3; bg++ {
-				times[bg] = run(t, kind, bg, StaticScheme(lvl), uint64(17+bg)).CompletionSeconds
+				times[bg] = run(t, kind, bg, core.Static(lvl), uint64(17+bg)).CompletionSeconds
 			}
 			grid[kind][lvl] = times
 		}
@@ -224,7 +224,7 @@ func TestDynamicWithin22Percent(t *testing.T) {
 		for bg := 0; bg <= 3; bg++ {
 			best := math.Inf(1)
 			for lvl := 0; lvl < 4; lvl++ {
-				if ct := run(t, kind, bg, StaticScheme(lvl), uint64(31+bg)).CompletionSeconds; ct < best {
+				if ct := run(t, kind, bg, core.Static(lvl), uint64(31+bg)).CompletionSeconds; ct < best {
 					best = ct
 				}
 			}
@@ -241,7 +241,7 @@ func TestDynamicWithin22Percent(t *testing.T) {
 // claim ("improved the overall application throughput up to a factor of 4"):
 // on highly compressible data under contention, DYNAMIC beats NO by >= 4x.
 func TestDynamicBeatsNoCompressionUpTo4x(t *testing.T) {
-	no := run(t, corpus.High, 3, StaticScheme(0), 3).CompletionSeconds
+	no := run(t, corpus.High, 3, core.Static(0), 3).CompletionSeconds
 	dyn := run(t, corpus.High, 3, dynamic(t), 3).CompletionSeconds
 	if no < 4*dyn {
 		t.Fatalf("HIGH bg=3: NO %.0f s vs DYNAMIC %.0f s — gain %.1fx < 4x", no, dyn, no/dyn)
@@ -282,7 +282,7 @@ func TestTraceSamples(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 2e9,
-		Scheme:     core.MustNewDecider(core.Config{Levels: 4}),
+		Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}),
 		Profiles:   ReferenceProfiles(),
 		Seed:       5,
 		Trace:      func(ws WindowSample) { samples = append(samples, ws) },
@@ -319,7 +319,7 @@ func TestMaxSimSecondsGuard(t *testing.T) {
 		Platform:      KVMParavirt,
 		Kind:          ConstantKind(corpus.Low),
 		TotalBytes:    fiftyGB,
-		Scheme:        StaticScheme(3),
+		Policy:        core.Static(3),
 		Profiles:      ReferenceProfiles(),
 		MaxSimSeconds: 10,
 	})
@@ -480,7 +480,7 @@ func BenchmarkRunTransfer50GB(b *testing.B) {
 			Platform:   KVMParavirt,
 			Kind:       ConstantKind(corpus.High),
 			TotalBytes: fiftyGB,
-			Scheme:     core.MustNewDecider(core.Config{Levels: 4}),
+			Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}),
 			Profiles:   ReferenceProfiles(),
 			Seed:       uint64(i),
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"adaptio/internal/core"
 	"adaptio/internal/xrand"
 )
 
@@ -26,8 +27,8 @@ type FileTransferResult struct {
 }
 
 // RunFileTransfer simulates a bulk write to the VM's virtual disk through
-// the compression module, mirroring Nephele's file channels. The decision
-// scheme observes the application data rate exactly as in the network case
+// the compression module, mirroring Nephele's file channels. The policy
+// observes the application data rate exactly as in the network case
 // — which, on platforms whose host absorbs writes into its page cache,
 // means it observes RAM-speed bursts alternating with flush stalls instead
 // of anything related to the disk. The experiment quantifies how badly this
@@ -37,8 +38,8 @@ func RunFileTransfer(cfg TransferConfig) (FileTransferResult, error) {
 	if cfg.TotalBytes <= 0 {
 		return res, errors.New("cloudsim: TotalBytes must be positive")
 	}
-	if cfg.Scheme == nil {
-		return res, errors.New("cloudsim: nil scheme")
+	if cfg.Policy == nil {
+		return res, errors.New("cloudsim: nil policy")
 	}
 	if cfg.Kind == nil {
 		return res, errors.New("cloudsim: nil kind schedule")
@@ -59,9 +60,9 @@ func RunFileTransfer(cfg TransferConfig) (FileTransferResult, error) {
 
 	rng := xrand.New(cfg.Seed ^ 0xF11E)
 	res.LevelSeconds = make([]float64, len(cfg.Profiles))
-	level := cfg.Scheme.Level()
+	level := cfg.Policy.Level()
 	if level < 0 || level >= len(cfg.Profiles) {
-		return res, fmt.Errorf("cloudsim: scheme starts at invalid level %d", level)
+		return res, fmt.Errorf("cloudsim: policy starts at invalid level %d", level)
 	}
 
 	// Host page cache state (XEN model): wire bytes buffered but not yet
@@ -135,9 +136,9 @@ func RunFileTransfer(cfg TransferConfig) (FileTransferResult, error) {
 				Kind:     kind,
 			})
 		}
-		level = cfg.Scheme.Observe(appMBps * 1e6)
+		level = cfg.Policy.Observe(core.Window{Rate: appMBps * 1e6})
 		if level < 0 || level >= len(cfg.Profiles) {
-			return res, fmt.Errorf("cloudsim: scheme chose invalid level %d", level)
+			return res, fmt.Errorf("cloudsim: policy chose invalid level %d", level)
 		}
 		if level != prevLevel {
 			res.LevelSwitches++

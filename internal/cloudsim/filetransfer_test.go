@@ -38,7 +38,7 @@ func TestRunFileTransferKVMMatchesDiskRate(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.Low),
 		TotalBytes: 10e9,
-		Scheme:     StaticScheme(0),
+		Policy:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 		Seed:       1,
 	})
@@ -62,7 +62,7 @@ func TestRunFileTransferXenCacheBehaviour(t *testing.T) {
 		Platform:   XenParavirt,
 		Kind:       ConstantKind(corpus.Low),
 		TotalBytes: 20e9,
-		Scheme:     StaticScheme(0),
+		Policy:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 		Seed:       1,
 	})
@@ -80,7 +80,7 @@ func TestRunFileTransferXenCacheBehaviour(t *testing.T) {
 		Platform:   XenParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 20e9,
-		Scheme:     StaticScheme(1),
+		Policy:     core.Static(1),
 		Profiles:   ReferenceProfiles(),
 		Seed:       1,
 	})
@@ -99,7 +99,7 @@ func TestRunFileTransferDynamicTrace(t *testing.T) {
 		Platform:   XenParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 5e9,
-		Scheme:     core.MustNewDecider(core.Config{Levels: 4}),
+		Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}),
 		Profiles:   ReferenceProfiles(),
 		Seed:       2,
 		Trace:      func(WindowSample) { windows++ },
@@ -117,15 +117,15 @@ func TestRunFileTransferGuards(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     StaticScheme(0),
+		Policy:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 	}
 	mutations := []func(*TransferConfig){
 		func(c *TransferConfig) { c.TotalBytes = -1 },
-		func(c *TransferConfig) { c.Scheme = nil },
+		func(c *TransferConfig) { c.Policy = nil },
 		func(c *TransferConfig) { c.Kind = nil },
 		func(c *TransferConfig) { c.Profiles = nil },
-		func(c *TransferConfig) { c.Scheme = StaticScheme(11) },
+		func(c *TransferConfig) { c.Policy = core.Static(11) },
 		func(c *TransferConfig) { c.Platform = Platform(50) },
 	}
 	for i, m := range mutations {

@@ -16,18 +16,18 @@ func TestTransferInvariantsProperty(t *testing.T) {
 	prop := func(kindSel, bgSel, schemeSel uint8, seed uint64) bool {
 		kind := corpus.Kind(int(kindSel) % 3)
 		bg := int(bgSel) % 5
-		var scheme Scheme
+		var scheme core.Policy
 		if schemeSel%5 == 4 {
-			scheme = core.MustNewDecider(core.Config{Levels: 4})
+			scheme = core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4})
 		} else {
-			scheme = StaticScheme(int(schemeSel) % 4)
+			scheme = core.Static(int(schemeSel) % 4)
 		}
 		res, err := RunTransfer(TransferConfig{
 			Platform:   KVMParavirt,
 			Kind:       ConstantKind(kind),
 			TotalBytes: 5e9,
 			Background: bg,
-			Scheme:     scheme,
+			Policy:     scheme,
 			Profiles:   ReferenceProfiles(),
 			Seed:       seed,
 		})
@@ -70,7 +70,7 @@ func TestContentionMonotoneProperty(t *testing.T) {
 				Kind:       ConstantKind(kind),
 				TotalBytes: 10e9,
 				Background: bg,
-				Scheme:     StaticScheme(0),
+				Policy:     core.Static(0),
 				Profiles:   ReferenceProfiles(),
 				Seed:       seed,
 			})
@@ -104,7 +104,7 @@ func TestDynamicBoundedByStaticsProperty(t *testing.T) {
 				Kind:       ConstantKind(kind),
 				TotalBytes: 10e9,
 				Background: bg,
-				Scheme:     StaticScheme(lvl),
+				Policy:     core.Static(lvl),
 				Profiles:   ReferenceProfiles(),
 				Seed:       seed,
 			})
@@ -119,7 +119,7 @@ func TestDynamicBoundedByStaticsProperty(t *testing.T) {
 			Kind:       ConstantKind(kind),
 			TotalBytes: 10e9,
 			Background: bg,
-			Scheme:     core.MustNewDecider(core.Config{Levels: 4}),
+			Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}),
 			Profiles:   ReferenceProfiles(),
 			Seed:       seed,
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"adaptio/internal/core"
 	"adaptio/internal/xrand"
 )
 
@@ -23,26 +24,14 @@ import (
 // redistribution is the coupling that makes contention contagious: whether
 // stream i is NIC-bound depends on every other stream's demand.
 
-// WindowScheme is a Scheme that additionally receives the completed
-// window's byte totals at both layers, letting it estimate the achieved
-// compression ratio. coord.Stream satisfies it; plain Schemes (the solo
-// core.Decider) receive Observe only.
-type WindowScheme interface {
-	Scheme
-	// ObserveWindowStats reports the window's application data rate in
-	// bytes/second plus the window's application- and wire-layer byte
-	// counts, and returns the level for the next window.
-	ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
-}
-
 // FleetStream describes one of the host's concurrent streams.
 type FleetStream struct {
 	// Kind schedules the stream's data compressibility by its own
 	// application-byte offset.
 	Kind KindSchedule
-	// Scheme picks the stream's compression levels. If it also satisfies
-	// WindowScheme it receives byte totals; otherwise just the rate.
-	Scheme Scheme
+	// Policy picks the stream's compression levels; it observes each
+	// window's achieved rate and byte totals at both layers.
+	Policy core.Policy
 	// Weight is the stream's share weight in the NIC's weighted fair
 	// queueing; zero means 1.
 	Weight float64
@@ -85,8 +74,8 @@ type FleetConfig struct {
 	// FlapWindow is the harness's flap horizon: a level switch reversing
 	// the stream's previous switch direction within this many windows
 	// counts as a flap. Zero means 8. The harness counts switches and
-	// flaps itself, from the levels the schemes actually return — a
-	// scheme cannot game the flap metric by under-reporting.
+	// flaps itself, from the levels the policies actually return — a
+	// policy cannot game the flap metric by under-reporting.
 	FlapWindow int
 	// Env, if non-nil, applies time-varying environment perturbations:
 	// capacity curves, jitter, packet loss (see FleetEnv).
@@ -162,7 +151,7 @@ type fleetStreamState struct {
 // that rate times the level's ratio. The NIC then water-fills wire capacity
 // across demands by weight, and each stream's achieved application rate is
 // its wire allocation divided by its ratio (capped by its CPU-bound rate).
-// Schemes observe the achieved rate — never the demand — exactly as a real
+// Policies observe the achieved rate — never the demand — exactly as a real
 // sender only observes what the contended link let through.
 func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	var res FleetResult
@@ -192,13 +181,13 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	nicRNG := rng.Fork()
 	states := make([]*fleetStreamState, len(cfg.Streams))
 	for i, sc := range cfg.Streams {
-		if sc.Scheme == nil {
-			return res, fmt.Errorf("cloudsim: stream %d has nil scheme", i)
+		if sc.Policy == nil {
+			return res, fmt.Errorf("cloudsim: stream %d has nil policy", i)
 		}
 		if sc.Kind == nil {
 			return res, fmt.Errorf("cloudsim: stream %d has nil kind schedule", i)
 		}
-		lvl := sc.Scheme.Level()
+		lvl := sc.Policy.Level()
 		if lvl < 0 || lvl >= len(cfg.Profiles) {
 			return res, fmt.Errorf("cloudsim: stream %d starts at invalid level %d", i, lvl)
 		}
@@ -303,12 +292,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 			aggWire += achievedWire
 
 			rate := achievedApp * 1e6 // bytes/second, as the stream layer measures
-			var next int
-			if ws, ok := s.cfg.Scheme.(WindowScheme); ok {
-				next = ws.ObserveWindowStats(rate, appBytes, wireBytes)
-			} else {
-				next = s.cfg.Scheme.Observe(rate)
-			}
+			next := s.cfg.Policy.Observe(core.Window{Rate: rate, AppBytes: appBytes, WireBytes: wireBytes})
 			if next < 0 || next >= len(cfg.Profiles) {
 				return res, fmt.Errorf("cloudsim: stream %d chose invalid level %d", i, next)
 			}

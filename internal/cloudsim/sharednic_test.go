@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"adaptio/internal/core"
 	"math"
 	"reflect"
 	"strings"
@@ -73,12 +74,12 @@ func TestWaterFill(t *testing.T) {
 	}
 }
 
-func moderateFleet(n int, scheme func(i int) Scheme) []FleetStream {
+func moderateFleet(n int, scheme func(i int) core.Policy) []FleetStream {
 	streams := make([]FleetStream, n)
 	for i := range streams {
 		streams[i] = FleetStream{
 			Kind:   ConstantKind(corpus.Moderate),
-			Scheme: scheme(i),
+			Policy: scheme(i),
 		}
 	}
 	return streams
@@ -90,7 +91,7 @@ func TestRunFleetValidation(t *testing.T) {
 		return FleetConfig{
 			Windows:  4,
 			Profiles: profiles,
-			Streams:  moderateFleet(2, func(int) Scheme { return StaticScheme(0) }),
+			Streams:  moderateFleet(2, func(int) core.Policy { return core.Static(0) }),
 		}
 	}
 	cases := []struct {
@@ -100,9 +101,9 @@ func TestRunFleetValidation(t *testing.T) {
 	}{
 		{"no streams", func(c *FleetConfig) { c.Streams = nil }, "at least one stream"},
 		{"no windows", func(c *FleetConfig) { c.Windows = 0 }, "Windows > 0"},
-		{"nil scheme", func(c *FleetConfig) { c.Streams[0].Scheme = nil }, "nil scheme"},
+		{"nil scheme", func(c *FleetConfig) { c.Streams[0].Policy = nil }, "nil policy"},
 		{"nil kind", func(c *FleetConfig) { c.Streams[1].Kind = nil }, "nil kind schedule"},
-		{"bad start level", func(c *FleetConfig) { c.Streams[0].Scheme = StaticScheme(9) }, "invalid level"},
+		{"bad start level", func(c *FleetConfig) { c.Streams[0].Policy = core.Static(9) }, "invalid level"},
 		{"negative weight", func(c *FleetConfig) { c.Streams[0].Weight = -1 }, "negative weight"},
 		{"negative cpu factor", func(c *FleetConfig) { c.Streams[0].CPUFactor = -1 }, "negative CPU factor"},
 		{"negative nic", func(c *FleetConfig) { c.NICMBps = -5 }, "negative NIC capacity"},
@@ -124,7 +125,7 @@ func TestRunFleetDeterministic(t *testing.T) {
 		NICMBps:  50,
 		Windows:  30,
 		Profiles: ReferenceProfiles(),
-		Streams:  moderateFleet(8, func(int) Scheme { return StaticScheme(1) }),
+		Streams:  moderateFleet(8, func(int) core.Policy { return core.Static(1) }),
 		Seed:     42,
 		NICSigma: 0.1,
 		CPUSigma: 0.05,
@@ -133,7 +134,7 @@ func TestRunFleetDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Streams = moderateFleet(8, func(int) Scheme { return StaticScheme(1) })
+	cfg.Streams = moderateFleet(8, func(int) core.Policy { return core.Static(1) })
 	b, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestRunFleetCompressionBeatsIdentityOnContendedNIC(t *testing.T) {
 			NICMBps:  50,
 			Windows:  20,
 			Profiles: ReferenceProfiles(),
-			Streams:  moderateFleet(10, func(int) Scheme { return StaticScheme(level) }),
+			Streams:  moderateFleet(10, func(int) core.Policy { return core.Static(level) }),
 			Seed:     7,
 		})
 		if err != nil {
@@ -179,7 +180,7 @@ func TestRunFleetUncontendedPrefersCPUBound(t *testing.T) {
 		NICMBps:  1000,
 		Windows:  10,
 		Profiles: ReferenceProfiles(),
-		Streams:  moderateFleet(1, func(int) Scheme { return StaticScheme(0) }),
+		Streams:  moderateFleet(1, func(int) core.Policy { return core.Static(0) }),
 		Seed:     3,
 	})
 	if err != nil {
@@ -196,7 +197,7 @@ func TestRunFleetUncontendedPrefersCPUBound(t *testing.T) {
 // the harness must count no matter what the scheme itself reports.
 type seesaw struct{ level int }
 
-func (s *seesaw) Observe(float64) int {
+func (s *seesaw) Observe(core.Window) int {
 	s.level = 1 - s.level
 	return s.level
 }
@@ -207,7 +208,7 @@ func TestRunFleetHarnessCountsFlaps(t *testing.T) {
 		NICMBps:  50,
 		Windows:  21,
 		Profiles: ReferenceProfiles(),
-		Streams:  moderateFleet(1, func(int) Scheme { return &seesaw{} }),
+		Streams:  moderateFleet(1, func(int) core.Policy { return &seesaw{} }),
 		Seed:     1,
 	})
 	if err != nil {
@@ -221,7 +222,7 @@ func TestRunFleetHarnessCountsFlaps(t *testing.T) {
 }
 
 func TestRunFleetWeightedSharesSkewGoodput(t *testing.T) {
-	streams := moderateFleet(4, func(int) Scheme { return StaticScheme(1) })
+	streams := moderateFleet(4, func(int) core.Policy { return core.Static(1) })
 	streams[0].Weight = 3
 	streams[0].Tenant = "gold"
 	res, err := RunFleet(FleetConfig{

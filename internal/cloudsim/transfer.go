@@ -5,21 +5,10 @@ import (
 	"fmt"
 	"math"
 
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/xrand"
 )
-
-// Scheme decides the compression level for the next decision window given
-// the application data rate observed in the previous one. *core.Decider
-// satisfies it; static levels and the related-work baselines
-// (internal/baseline) provide alternative implementations.
-type Scheme interface {
-	// Observe consumes the application data rate (bytes/second) of the
-	// completed window and returns the level for the next window.
-	Observe(rate float64) int
-	// Level returns the currently selected level.
-	Level() int
-}
 
 // GuestMetrics is the set of OS-displayed system metrics a metric-driven
 // compression scheme (Section V's related work) can query inside the guest.
@@ -44,23 +33,15 @@ type GuestMetrics struct {
 	WindowSeconds float64
 }
 
-// MetricsScheme is implemented by schemes that additionally consume
-// guest-displayed metrics. The engine calls ObserveMetrics immediately
-// before Observe for every window.
+// MetricsScheme is the simulator-only extension of core.Policy for the
+// metric-driven related-work baselines (internal/baseline): policies that
+// additionally consume guest-displayed metrics, the input Ablation A4 is
+// about. RunTransfer calls ObserveMetrics immediately before Observe for
+// every window.
 type MetricsScheme interface {
-	Scheme
+	core.Policy
 	ObserveMetrics(GuestMetrics)
 }
-
-// StaticScheme pins one compression level forever (the paper's NO / LIGHT /
-// MEDIUM / HEAVY rows in Table II).
-type StaticScheme int
-
-// Observe implements Scheme.
-func (s StaticScheme) Observe(float64) int { return int(s) }
-
-// Level implements Scheme.
-func (s StaticScheme) Level() int { return int(s) }
 
 // KindSchedule maps a byte offset of the application stream to a corpus
 // kind; it expresses workloads whose compressibility changes over time
@@ -97,9 +78,9 @@ type TransferConfig struct {
 	Background int
 	// WindowSeconds is the decision interval t (paper: 2 s).
 	WindowSeconds float64
-	// Scheme picks compression levels. Must select levels within
-	// len(Profiles).
-	Scheme Scheme
+	// Policy picks compression levels (core.Static for the paper's
+	// static rows). Must select levels within len(Profiles).
+	Policy core.Policy
 	// Profiles is the codec profile ladder (index = level).
 	Profiles []CodecProfile
 	// Seed drives all stochastic components.
@@ -182,8 +163,8 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 	if cfg.TotalBytes <= 0 {
 		return res, errors.New("cloudsim: TotalBytes must be positive")
 	}
-	if cfg.Scheme == nil {
-		return res, errors.New("cloudsim: nil scheme")
+	if cfg.Policy == nil {
+		return res, errors.New("cloudsim: nil policy")
 	}
 	if cfg.Kind == nil {
 		return res, errors.New("cloudsim: nil kind schedule")
@@ -207,9 +188,9 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 	slow := newSlowNoise(cfg.Background, rng.Fork())
 
 	res.LevelSeconds = make([]float64, len(cfg.Profiles))
-	level := cfg.Scheme.Level()
+	level := cfg.Policy.Level()
 	if level < 0 || level >= len(cfg.Profiles) {
-		return res, fmt.Errorf("cloudsim: scheme starts at invalid level %d", level)
+		return res, fmt.Errorf("cloudsim: policy starts at invalid level %d", level)
 	}
 
 	var sent int64
@@ -261,7 +242,7 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 		res.Windows++
 
 		appMBps := float64(windowBytes) / 1e6 / dt
-		if ms, ok := cfg.Scheme.(MetricsScheme); ok {
+		if ms, ok := cfg.Policy.(MetricsScheme); ok {
 			guestCPU := senderGuestCPU(cfg.Platform, cpu, compFrac, appMBps, rng)
 			idle := 100 - guestCPU.Total()
 			if idle < 0 {
@@ -287,10 +268,10 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 		}
 
 		// Feed the observed rate (bytes/second, as the stream layer
-		// measures it) to the decision scheme.
-		level = cfg.Scheme.Observe(appMBps * 1e6)
+		// measures it) to the policy.
+		level = cfg.Policy.Observe(core.Window{Rate: appMBps * 1e6})
 		if level < 0 || level >= len(cfg.Profiles) {
-			return res, fmt.Errorf("cloudsim: scheme chose invalid level %d", level)
+			return res, fmt.Errorf("cloudsim: policy chose invalid level %d", level)
 		}
 		if level != prevLevel {
 			res.LevelSwitches++

@@ -12,8 +12,8 @@
 // trivially zero the flap metric by never adapting, and can always buy
 // goodput with unbounded oscillation; beating both at once requires actual
 // coordination. TestContentionSentinelFreeze proves the bound has teeth by
-// running exactly such a rigged policy (Config.CheatFreeze) and asserting
-// the goodput criterion catches it — the DisableRevert sentinel pattern of
+// running exactly such a rigged policy (a fleet pinned by core.Static(0))
+// and asserting the goodput criterion catches it — the DisableRevert sentinel pattern of
 // internal/experiments/shape_test.go applied to the fleet layer.
 package coord_test
 
@@ -44,7 +44,7 @@ const (
 // fleetStreams builds the stream set, calling mkScheme(i, weight, tenant)
 // for each stream. Stream parameters are deterministic functions of the
 // index so solo and coordinated runs face the identical environment.
-func fleetStreams(mkScheme func(i int, weight float64, tenant string) cloudsim.Scheme) []cloudsim.FleetStream {
+func fleetStreams(mkScheme func(i int, weight float64, tenant string) core.Policy) []cloudsim.FleetStream {
 	n := fleetSilver + fleetGold
 	streams := make([]cloudsim.FleetStream, n)
 	for i := 0; i < n; i++ {
@@ -66,7 +66,7 @@ func fleetStreams(mkScheme func(i int, weight float64, tenant string) cloudsim.S
 		}
 		streams[i] = cloudsim.FleetStream{
 			Kind:      kind,
-			Scheme:    mkScheme(i, weight, tenant),
+			Policy:    mkScheme(i, weight, tenant),
 			Weight:    weight,
 			CPUFactor: cpu,
 			Tenant:    tenant,
@@ -75,7 +75,7 @@ func fleetStreams(mkScheme func(i int, weight float64, tenant string) cloudsim.S
 	return streams
 }
 
-func runFleet(t *testing.T, seed uint64, mkScheme func(i int, weight float64, tenant string) cloudsim.Scheme) cloudsim.FleetResult {
+func runFleet(t *testing.T, seed uint64, mkScheme func(i int, weight float64, tenant string) core.Policy) cloudsim.FleetResult {
 	t.Helper()
 	res, err := cloudsim.RunFleet(cloudsim.FleetConfig{
 		NICMBps:       fleetNIC,
@@ -93,16 +93,15 @@ func runFleet(t *testing.T, seed uint64, mkScheme func(i int, weight float64, te
 	return res
 }
 
-func soloScheme(i int, _ float64, _ string) cloudsim.Scheme {
-	return core.MustNewDecider(core.Config{Levels: 4})
+func soloScheme(i int, _ float64, _ string) core.Policy {
+	return core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4})
 }
 
-func newFleetCoordinator(scope *obs.Scope, cheat bool) *coord.Coordinator {
+func newFleetCoordinator(scope *obs.Scope) *coord.Coordinator {
 	return coord.MustNew(coord.Config{
 		BudgetBytesPerSec: fleetNIC * 1e6,
 		Levels:            4,
 		Obs:               scope,
-		CheatFreeze:       cheat,
 	})
 }
 
@@ -111,9 +110,9 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 		solo := runFleet(t, seed, soloScheme)
 
 		reg := obs.NewRegistry()
-		c := newFleetCoordinator(reg.Scope("coord"), false)
+		c := newFleetCoordinator(reg.Scope("coord"))
 		var handles []*coord.Stream
-		coordinated := runFleet(t, seed, func(i int, weight float64, tenant string) cloudsim.Scheme {
+		coordinated := runFleet(t, seed, func(i int, weight float64, tenant string) core.Policy {
 			s := c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
 			handles = append(handles, s)
 			return s
@@ -153,7 +152,7 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 
 		// Metrics cross-check: the obs counter must agree byte-for-byte
 		// with the harness's own accounting (every window's appBytes went
-		// through ObserveWindowStats), and the active gauge must return
+		// through Stream.Observe), and the active gauge must return
 		// to zero once every stream detaches.
 		scope := reg.Scope("coord")
 		if got := scope.Counter("goodput.bytes").Value(); got != coordinated.AppBytes {
@@ -178,8 +177,9 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 	}
 }
 
-// TestContentionSentinelFreeze is the suite's cheat sentinel. CheatFreeze
-// pins every stream at its initial level: zero switches, zero flaps — the
+// TestContentionSentinelFreeze is the suite's cheat sentinel: a fleet of
+// core.Static(0) policies never leaves the coordinator's initial level,
+// zero switches, zero flaps — the
 // flap criterion alone would crown it the perfect policy. The goodput
 // criterion must catch it: a frozen fleet (everything at level 0, i.e. no
 // compression on a contended NIC) cannot beat even the flapping solo fleet.
@@ -189,10 +189,7 @@ func TestContentionSentinelFreeze(t *testing.T) {
 	const seed = 1
 	solo := runFleet(t, seed, soloScheme)
 
-	c := newFleetCoordinator(nil, true)
-	rigged := runFleet(t, seed, func(i int, weight float64, tenant string) cloudsim.Scheme {
-		return c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
-	})
+	rigged := runFleet(t, seed, func(int, float64, string) core.Policy { return core.Static(0) })
 
 	if rigged.Flaps != 0 || rigged.Switches != 0 {
 		t.Fatalf("sentinel setup broken: frozen fleet recorded %d switches / %d flaps",

@@ -123,16 +123,6 @@ type Config struct {
 	// under (conventionally "coord"). Nil keeps the coordinator fully
 	// functional with unregistered metrics.
 	Obs *obs.Scope
-
-	// CheatFreeze is the contention-suite's cheat sentinel knob (the
-	// DisableRevert pattern of internal/experiments/shape_test.go applied
-	// to fleet coordination): the coordinator never moves any stream off
-	// its initial level, which trivially zeroes the flap metric while
-	// giving up all adaptation. The contention-regression suite flips it
-	// to prove its combined goodput+flap assertions cannot be gamed by a
-	// policy that optimizes the flap metric alone. Never set in
-	// production.
-	CheatFreeze bool
 }
 
 // DefaultPriors returns the ratio and compression-speed priors for the
@@ -191,8 +181,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FlapWindow < 0 {
 		return c, fmt.Errorf("coord: negative flap window %d", c.FlapWindow)
 	}
-	if c.SoloPolicy != "" && !core.ValidPolicy(c.SoloPolicy) {
-		return c, fmt.Errorf("coord: unknown solo policy %q (want one of %v)", c.SoloPolicy, core.PolicyNames())
+	if _, err := core.New(c.SoloPolicy, core.Config{Levels: c.Levels, Alpha: c.Alpha}); err != nil {
+		return c, fmt.Errorf("coord: solo policy: %w", err)
 	}
 	return c, nil
 }
@@ -300,7 +290,7 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 		ratioDrift:    1,
 		compDrift:     1,
 		lastSwitchWin: -1,
-		solo: core.MustNewPolicy(c.cfg.SoloPolicy, core.PolicyConfig{
+		solo: core.MustNew(c.cfg.SoloPolicy, core.Config{
 			Levels: c.cfg.Levels,
 			Alpha:  c.cfg.Alpha,
 			Seed:   c.cfg.SoloSeed ^ seq<<17,

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"adaptio/internal/core"
 	"strings"
 	"testing"
 
@@ -80,8 +81,11 @@ func TestNilCoordinatorAndStream(t *testing.T) {
 	}
 	var s *Stream
 	s.Detach() // must not panic
-	if got := s.ObserveWindowStats(1e6, 10, 10); got != 0 {
-		t.Fatalf("nil Stream.ObserveWindowStats = %d, want 0", got)
+	if got := s.Observe(core.Window{Rate: 1e6, AppBytes: 10, WireBytes: 10}); got != 0 {
+		t.Fatalf("nil Stream.Observe = %d, want 0", got)
+	}
+	if got := s.Level(); got != 0 {
+		t.Fatalf("nil Stream.Level = %d, want 0", got)
 	}
 }
 
@@ -98,7 +102,7 @@ func drive(s *Stream, n int, shareBps float64, ratio, comp []float64) int {
 		}
 		app := int64(rate * 2) // 2s windows
 		wire := int64(float64(app) * ratio[lvl])
-		lvl = s.ObserveWindowStats(rate, app, wire)
+		lvl = s.Observe(core.Window{Rate: rate, AppBytes: app, WireBytes: wire})
 	}
 	return lvl
 }
@@ -206,7 +210,7 @@ func TestDetachFallsBackToSolo(t *testing.T) {
 	before := s.Level()
 	moved := false
 	for i := 0; i < 64; i++ {
-		if s.Observe(9e6) != before {
+		if s.Observe(core.Window{Rate: 9e6}) != before {
 			moved = true
 			break
 		}
@@ -216,23 +220,11 @@ func TestDetachFallsBackToSolo(t *testing.T) {
 	}
 }
 
-func TestCheatFreezeNeverMoves(t *testing.T) {
-	ratio, comp := DefaultPriors()
-	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 10e6, CheatFreeze: true})
-	s := c.Register(StreamConfig{})
-	if lvl := drive(s, 80, 10e6, ratio, comp); lvl != 0 {
-		t.Fatalf("CheatFreeze level = %d, want pinned 0", lvl)
-	}
-	if s.Switches() != 0 || s.Flaps() != 0 {
-		t.Fatalf("CheatFreeze switches/flaps = %d/%d, want 0/0", s.Switches(), s.Flaps())
-	}
-}
-
 func TestObsMetricNamesRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := MustNew(Config{Levels: 4, Obs: reg.Scope("coord")})
 	s := c.Register(StreamConfig{})
-	s.ObserveWindowStats(1e6, 2e6, 2e6)
+	s.Observe(core.Window{Rate: 1e6, AppBytes: 2e6, WireBytes: 2e6})
 	for _, name := range []string{
 		"coord.goodput.bytes", "coord.level.flaps", "coord.level.switches",
 		"coord.streams.active", "coord.streams.total",

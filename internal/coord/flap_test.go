@@ -9,6 +9,7 @@
 package coord_test
 
 import (
+	"adaptio/internal/core"
 	"math"
 	"testing"
 
@@ -39,13 +40,13 @@ func flapEnv() *cloudsim.FleetEnv {
 	}
 }
 
-func runFlapFleet(t *testing.T, seed uint64, mkScheme func(i int) cloudsim.Scheme) cloudsim.FleetResult {
+func runFlapFleet(t *testing.T, seed uint64, mkScheme func(i int) core.Policy) cloudsim.FleetResult {
 	t.Helper()
 	streams := make([]cloudsim.FleetStream, flapStreamsN)
 	for i := range streams {
 		streams[i] = cloudsim.FleetStream{
 			Kind:   cloudsim.ConstantKind(corpus.Moderate),
-			Scheme: mkScheme(i),
+			Policy: mkScheme(i),
 			// CPU skew 0.4..1.0 so the fleet holds both compressor-bound
 			// and NIC-bound streams on either side of each flap edge.
 			CPUFactor: 0.4 + 0.6*float64(i)/float64(flapStreamsN-1),
@@ -81,7 +82,7 @@ func TestFlapDwellBoundsSwitches(t *testing.T) {
 			BudgetBytesPerSec: flapNIC * 1e6,
 			Levels:            4,
 		})
-		res := runFlapFleet(t, seed, func(int) cloudsim.Scheme {
+		res := runFlapFleet(t, seed, func(int) core.Policy {
 			return c.Register(coord.StreamConfig{})
 		})
 		bound := flapDwellBound()
@@ -102,14 +103,14 @@ func TestFlapDwellBoundsSwitches(t *testing.T) {
 // its level from whichever side of the square wave it last sampled.
 func TestFlapCoordinationCalms(t *testing.T) {
 	for _, seed := range []uint64{1, 2011} {
-		solo := runFlapFleet(t, seed, func(int) cloudsim.Scheme {
+		solo := runFlapFleet(t, seed, func(int) core.Policy {
 			return soloScheme(0, 1, "")
 		})
 		c := coord.MustNew(coord.Config{
 			BudgetBytesPerSec: flapNIC * 1e6,
 			Levels:            4,
 		})
-		coordinated := runFlapFleet(t, seed, func(int) cloudsim.Scheme {
+		coordinated := runFlapFleet(t, seed, func(int) core.Policy {
 			return c.Register(coord.StreamConfig{})
 		})
 		if coordinated.Flaps >= solo.Flaps {
@@ -124,15 +125,15 @@ func TestFlapCoordinationCalms(t *testing.T) {
 // worst-behaved policy the ladder admits.
 type windowOscillator struct{ level int }
 
-func (o *windowOscillator) Observe(float64) int { o.level ^= 1; return o.level }
-func (o *windowOscillator) Level() int          { return o.level }
+func (o *windowOscillator) Observe(core.Window) int { o.level ^= 1; return o.level }
+func (o *windowOscillator) Level() int              { return o.level }
 
 // TestFlapDwellSentinel proves the dwell bound can fail: a per-window
 // oscillator must blow through it by an order of magnitude. If this test
 // ever passes the bound, the bound has gone soft and
 // TestFlapDwellBoundsSwitches no longer constrains anything.
 func TestFlapDwellSentinel(t *testing.T) {
-	res := runFlapFleet(t, 1, func(int) cloudsim.Scheme { return &windowOscillator{} })
+	res := runFlapFleet(t, 1, func(int) core.Policy { return &windowOscillator{} })
 	bound := flapDwellBound()
 	maxSwitches := 0
 	for _, ps := range res.PerStream {

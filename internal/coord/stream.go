@@ -6,14 +6,9 @@ import (
 	"adaptio/internal/core"
 )
 
-// Stream is the per-stream handle returned by Coordinator.Register. It
-// satisfies both cloudsim.Scheme and stream.WindowScheme structurally:
-//
-//	Observe(rate float64) int
-//	ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
-//	Level() int
-//
-// While attached, every observation is an allocation round: the coordinator
+// Stream is the per-stream handle returned by Coordinator.Register: a
+// core.Policy, so the stream writer and the fleet simulator drive it like
+// any other level policy. While attached, every observation is an allocation round: the coordinator
 // recomputes the stream's weighted-fair share, refreshes the stream's
 // per-level goodput estimates from its drift-corrected priors, and moves the
 // level at most one step toward the estimated optimum, damped by hysteresis.
@@ -52,8 +47,11 @@ func (s *Stream) Tenant() string { return s.tenant }
 // Weight returns the stream's fair-share weight.
 func (s *Stream) Weight() float64 { return s.weight }
 
-// Level returns the stream's current compression level.
+// Level implements core.Policy: the stream's current compression level.
 func (s *Stream) Level() int {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.detached {
@@ -87,23 +85,18 @@ func (s *Stream) Detach() {
 	s.coord.detach(s)
 }
 
-// Observe is the window-rate-only observation path (cloudsim.Scheme). With
-// no wire-byte evidence the ratio drift stays at its last value.
-func (s *Stream) Observe(rate float64) int {
-	return s.ObserveWindowStats(rate, 0, 0)
-}
-
-// ObserveWindowStats reports one completed window: the achieved application
-// data rate in bytes/s plus the window's application and wire byte counts
-// (zero counts mean "unknown", as from the rate-only Observe path). It
-// returns the level the stream must use for the next window.
-func (s *Stream) ObserveWindowStats(rate float64, appBytes, wireBytes int64) int {
+// Observe implements core.Policy: it reports one completed window (the
+// achieved application data rate in bytes/s plus the window's application
+// and wire byte counts; zero counts mean "unknown", as from the rate-only
+// simulators) and returns the level the stream must use for the next
+// window. With no wire-byte evidence the ratio drift keeps its last value.
+func (s *Stream) Observe(w core.Window) int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	if s.detached {
-		lvl := s.solo.Observe(rate)
+		lvl := s.solo.Observe(w)
 		s.mu.Unlock()
 		return lvl
 	}
@@ -111,7 +104,8 @@ func (s *Stream) ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
 	// Keep the solo fallback warm: it tracks the same observed reality so
 	// that Detach resumes Algorithm 1 from a live trajectory instead of a
 	// cold start at level 0.
-	s.solo.Observe(rate)
+	s.solo.Observe(w)
+	rate := w.Rate
 
 	cfg := &s.coord.cfg
 	cur := s.level
@@ -124,8 +118,7 @@ func (s *Stream) ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
 	s.coord.mu.Lock()
 	share := s.coord.shareLocked(s.weight)
 	s.coord.mu.Unlock()
-	if appBytes > 0 && wireBytes > 0 && cfg.RatioPrior[cur] > 0 {
-		obsRatio := float64(wireBytes) / float64(appBytes)
+	if obsRatio := w.Ratio(); obsRatio > 0 && cfg.RatioPrior[cur] > 0 {
 		s.ratioDrift = ewma(s.ratioDrift, obsRatio/cfg.RatioPrior[cur], DefaultDriftGain)
 	}
 	if rate > 0 {
@@ -135,14 +128,7 @@ func (s *Stream) ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
 		}
 	}
 
-	s.m().goodputBytes.Add(appBytes)
-
-	if cfg.CheatFreeze {
-		// Cheat sentinel: refuse to adapt. Zero switches, zero flaps —
-		// and, as the contention suite proves, no goodput win either.
-		s.mu.Unlock()
-		return cur
-	}
+	s.m().goodputBytes.Add(w.AppBytes)
 
 	// Pick the level with the best estimated goodput under the current
 	// share; ties break toward the lighter level (cheaper CPU). The

@@ -42,21 +42,22 @@ func TestAlgorithmOneGoldenTrace(t *testing.T) {
 		{"levels=6", Config{Levels: 6}},
 	}
 	for _, c := range configs {
-		d := MustNewDecider(c.cfg)
+		d := mustAlgOne(c.cfg)
 		fmt.Fprintf(&sb, "== open-loop %s ==\n", c.label)
 		for i, r := range goldenOpenLoopRates() {
-			lvl := d.Observe(r)
+			lvl := d.Observe(Window{Rate: r})
 			dec := d.LastDecision()
 			fmt.Fprintf(&sb, "%03d rate=%.0f %s %d->%d lvl=%d bck=%d\n",
 				i, r, dec.Kind, dec.From, dec.To, lvl, dec.Backoff)
 		}
-		probes, reverts, rewards, observed := d.Stats()
+		ps := d.PolicyStats()
+		probes, reverts, rewards, observed := ps.Probes, ps.Reverts, ps.Rewards, ps.Observed
 		fmt.Fprintf(&sb, "stats probes=%d reverts=%d rewards=%d observed=%d\n",
 			probes, reverts, rewards, observed)
 	}
 
 	for _, seed := range []uint64{1, 7, 2011} {
-		d := MustNewDecider(Config{Levels: 4})
+		d := mustAlgOne(Config{Levels: 4})
 		fmt.Fprintf(&sb, "== closed-loop seed=%d ==\n", seed)
 		env := convEnv()
 		rng := xrand.New(seed)
@@ -69,14 +70,15 @@ func TestAlgorithmOneGoldenTrace(t *testing.T) {
 		for _, ph := range phases {
 			for w := 0; w < ph.windows; w++ {
 				r := env.rate(d.Level(), ph.shareMBps) * 1e6 * rng.NoiseFactor(0.02)
-				lvl := d.Observe(r)
+				lvl := d.Observe(Window{Rate: r})
 				dec := d.LastDecision()
 				fmt.Fprintf(&sb, "%03d %s %d->%d lvl=%d bck=%d\n",
 					i, dec.Kind, dec.From, dec.To, lvl, dec.Backoff)
 				i++
 			}
 		}
-		probes, reverts, rewards, observed := d.Stats()
+		ps := d.PolicyStats()
+		probes, reverts, rewards, observed := ps.Probes, ps.Reverts, ps.Rewards, ps.Observed
 		fmt.Fprintf(&sb, "stats probes=%d reverts=%d rewards=%d observed=%d\n",
 			probes, reverts, rewards, observed)
 	}

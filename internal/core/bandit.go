@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"adaptio/internal/xrand"
@@ -26,8 +25,8 @@ const (
 	// banditTrendGain smooths the relative rate change into the trend
 	// context dimension.
 	banditTrendGain = 0.30
-	// banditRatioGain smooths the observed compression ratio fed via
-	// ObserveRatio into the ratio context dimension.
+	// banditRatioGain smooths the observed compression ratio of windows
+	// that carry byte totals into the ratio context dimension.
 	banditRatioGain = 0.20
 	// banditRevertMemory is how many windows a revert stays in the
 	// context vector ("recently burned").
@@ -55,8 +54,8 @@ const (
 // The context vector is built from the obs-layer signals the stream layer
 // already exports (docs/observability.md): the current level, the probe
 // direction, a smoothed window-rate trend bucket, a recent-revert bit
-// (revert/backoff history) and a smoothed compression-ratio bucket (fed via
-// ObserveRatio where the caller knows per-window byte totals; a neutral
+// (revert/backoff history) and a smoothed compression-ratio bucket (fed from
+// Window.Ratio where the engine knows per-window byte totals; a neutral
 // bucket otherwise). All randomness comes from the seeded RNG in the
 // config, so a trace is exactly reproducible.
 type BanditDecider struct {
@@ -64,68 +63,45 @@ type BanditDecider struct {
 	alpha  float64
 	rng    *xrand.RNG
 
-	ccl int   // current level
-	c   int   // calls since last level change (backoff pacing)
-	inc bool  // probe direction, initially up
-	bck []int // per-level backoff exponents
-
-	pdr      float64 // previous window's rate
-	havePrev bool
+	ladderState
 
 	trend      float64 // EWMA of relative rate change
 	ratio      float64 // EWMA of observed wire/app ratio; <0 = never fed
 	lastRevert int     // observation index of the latest revert
-	observed   int
 
-	// Per-context action value and visit count of the probe arm.
-	q      []float64
-	visits []int
+	// Per-context action value of the probe arm.
+	q []float64
 
 	// pendingCtx is the context of a probe whose outcome the next
 	// observation settles; -1 when no probe is in flight.
 	pendingCtx int
 	// vetoes counts consecutive gate-held windows since the last probe.
 	vetoes int
-
-	probes, reverts, rewards, wasted int
-	gated, explored, forced          int // diagnostic: gate holds / epsilon overrides / veto-budget expiries
-	last                             Decision
 }
 
-// NewBandit creates a contextual-bandit decider.
-func NewBandit(cfg PolicyConfig) (*BanditDecider, error) {
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("core: config needs at least 1 level, got %d", cfg.Levels)
-	}
-	if cfg.Alpha < 0 {
-		return nil, fmt.Errorf("core: negative alpha %v", cfg.Alpha)
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
+// newBandit creates a contextual-bandit decider from a validated
+// configuration (see New).
+func newBandit(cfg Config) *BanditDecider {
 	n := cfg.Levels * 2 * 3 * 2 * 3 // level x dir x trend x revert x ratio
 	b := &BanditDecider{
-		levels:     cfg.Levels,
-		alpha:      alpha,
-		rng:        xrand.New(cfg.Seed ^ 0xBA4D17),
-		inc:        true,
-		bck:        make([]int, cfg.Levels),
-		ratio:      -1,
-		lastRevert: -1 << 20,
-		q:          make([]float64, n),
-		visits:     make([]int, n),
-		pendingCtx: -1,
+		levels:      cfg.Levels,
+		alpha:       cfg.Alpha,
+		rng:         xrand.New(cfg.Seed ^ 0xBA4D17),
+		ladderState: newLadderState(cfg.Levels),
+		ratio:       -1,
+		lastRevert:  -1 << 20,
+		q:           make([]float64, n),
+		pendingCtx:  -1,
 	}
 	for i := range b.q {
 		b.q[i] = banditQInit
 	}
-	return b, nil
+	return b
 }
 
-// ObserveRatio implements RatioObserver: the achieved wire/app ratio joins
-// the context vector.
-func (b *BanditDecider) ObserveRatio(ratio float64) {
+// observeRatio folds a window's achieved wire/app ratio into the context
+// vector's smoothed ratio.
+func (b *BanditDecider) observeRatio(ratio float64) {
 	if ratio <= 0 || math.IsNaN(ratio) || math.IsInf(ratio, 0) {
 		return
 	}
@@ -136,8 +112,11 @@ func (b *BanditDecider) ObserveRatio(ratio float64) {
 	b.ratio += banditRatioGain * (ratio - b.ratio)
 }
 
-// Observe implements Decider.
-func (b *BanditDecider) Observe(cdr float64) int {
+// Observe implements Policy. A window that carries both byte totals also
+// feeds its achieved ratio into the context vector, before the rate.
+func (b *BanditDecider) Observe(w Window) int {
+	b.observeRatio(w.Ratio())
+	cdr := w.Rate
 	b.observed++
 	if !b.havePrev {
 		b.pdr = cdr
@@ -160,7 +139,6 @@ func (b *BanditDecider) Observe(cdr float64) int {
 			r = -1
 		}
 		b.q[b.pendingCtx] += banditGain * (r - b.q[b.pendingCtx])
-		b.visits[b.pendingCtx]++
 		b.pendingCtx = -1
 	}
 
@@ -173,17 +151,12 @@ func (b *BanditDecider) Observe(cdr float64) int {
 	b.c++
 	switch {
 	case abs <= b.alpha*prev: // stable
-		if b.backoffExpired() {
+		if backoffDue(b.c, b.bck[b.ccl]) {
 			ctx := b.context()
-			take := b.q[ctx] > 0
-			if !take && b.rng.Float64() < banditEpsilon {
-				take = true
-				b.explored++
-			}
-			if !take && b.vetoes >= banditMaxVetoes {
-				take = true
-				b.forced++
-			}
+			// The learned gate, its epsilon override, and the veto
+			// budget, in that order (the RNG is drawn only when the
+			// gate is closed).
+			take := b.q[ctx] > 0 || b.rng.Float64() < banditEpsilon || b.vetoes >= banditMaxVetoes
 			if take {
 				b.vetoes = 0
 				b.c = 0
@@ -200,7 +173,6 @@ func (b *BanditDecider) Observe(cdr float64) int {
 				// A veto delays the released probe; c keeps running,
 				// so the gate is re-rolled every window (epsilon gets
 				// a fresh chance) until the veto budget runs out.
-				b.gated++
 				b.vetoes++
 			}
 		}
@@ -227,23 +199,7 @@ func (b *BanditDecider) Observe(cdr float64) int {
 		b.c = 0
 	}
 
-	// Ladder-edge handling mirrors AlgorithmOne: probes flip direction,
-	// reverts stay put.
-	if ncl < 0 || ncl > b.levels-1 {
-		if probeMove {
-			if ncl < 0 {
-				ncl = min(1, b.levels-1)
-			} else {
-				ncl = max(b.levels-2, 0)
-			}
-		} else {
-			if ncl < 0 {
-				ncl = 0
-			} else {
-				ncl = b.levels - 1
-			}
-		}
-	}
+	ncl = clampToLadder(ncl, b.levels, probeMove)
 	if ncl != b.ccl {
 		b.inc = ncl > b.ccl
 		b.ccl = ncl
@@ -252,14 +208,6 @@ func (b *BanditDecider) Observe(cdr float64) int {
 	b.trend += banditTrendGain * (rel - b.trend)
 	b.last = Decision{Kind: kind, From: from, To: b.ccl, Rate: cdr, PrevRate: prev, Backoff: b.bck[from]}
 	return b.ccl
-}
-
-func (b *BanditDecider) backoffExpired() bool {
-	exp := b.bck[b.ccl]
-	if exp > 62 {
-		return false
-	}
-	return b.c >= 1<<uint(exp)
 }
 
 // context discretizes the signal vector into a cell index.
@@ -289,27 +237,5 @@ func (b *BanditDecider) context() int {
 	return (((b.ccl*2+dir)*3+tb)*2+rr)*3 + rb
 }
 
-// Level implements Decider.
-func (b *BanditDecider) Level() int { return b.ccl }
-
-// LastDecision implements Decider.
-func (b *BanditDecider) LastDecision() Decision { return b.last }
-
-// PolicyStats implements Decider.
-func (b *BanditDecider) PolicyStats() PolicyStats {
-	return PolicyStats{
-		Probes:       b.probes,
-		Reverts:      b.reverts,
-		Rewards:      b.rewards,
-		Observed:     b.observed,
-		WastedProbes: b.wasted,
-	}
-}
-
 // Name implements Decider.
 func (b *BanditDecider) Name() string { return PolicyBandit }
-
-// GateStats reports how often the learned gate held a probe Algorithm 1
-// would have taken, and how often epsilon exploration overrode it
-// (diagnostics for the policy catalog in docs/deciders.md).
-func (b *BanditDecider) GateStats() (gated, explored int) { return b.gated, b.explored }

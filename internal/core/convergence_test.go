@@ -77,7 +77,7 @@ func runConvergence(t *testing.T, d Decider, phases []phase, seed uint64) (tailO
 		atOpt := 0
 		for w := 0; w < ph.windows; w++ {
 			r := env.rate(d.Level(), ph.shareMBps) * 1e6 * rng.NoiseFactor(0.02)
-			d.Observe(r)
+			d.Observe(Window{Rate: r})
 			if w >= ph.windows/2 && d.Level() == opt {
 				atOpt++
 			}
@@ -96,7 +96,7 @@ func TestDeciderConvergesAcrossStepChanges(t *testing.T) {
 	}
 	env := convEnv()
 	for seed := uint64(1); seed <= 20; seed++ {
-		d := MustNewDecider(Config{Levels: 4})
+		d := mustAlgOne(Config{Levels: 4})
 		occ, final := runConvergence(t, d, phases, seed)
 		for i, ph := range phases {
 			// >= 70% of each regime's steady-state tail at the optimal
@@ -110,7 +110,8 @@ func TestDeciderConvergesAcrossStepChanges(t *testing.T) {
 		if want := env.optimal(phases[len(phases)-1].shareMBps); final != want {
 			t.Errorf("seed %d: final level %d, want optimal %d", seed, final, want)
 		}
-		probes, reverts, _, observed := d.Stats()
+		ps := d.PolicyStats()
+		probes, reverts, observed := ps.Probes, ps.Reverts, ps.Observed
 		// Bounded churn: with exponential backoff, excursions are
 		// logarithmic per regime. 300 observations across 3 regimes must
 		// stay far below one probe every other window; linear probing
@@ -140,7 +141,7 @@ func TestPolicyConvergence(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			for seed := uint64(1); seed <= 20; seed++ {
-				d := MustNewPolicy(policy, PolicyConfig{Levels: 4, Seed: seed})
+				d := MustNew(policy, Config{Levels: 4, Seed: seed})
 				occ, final := runConvergence(t, d, phases, seed)
 				for i, ph := range phases {
 					if occ[i] < 0.70 {
@@ -175,18 +176,15 @@ func TestPolicyDeterminism(t *testing.T) {
 		{shareMBps: 100, windows: 80},
 	}
 	trace := func(policy string, seed uint64) []Decision {
-		d := MustNewPolicy(policy, PolicyConfig{Levels: 4, Seed: seed})
+		d := MustNew(policy, Config{Levels: 4, Seed: seed})
 		env := convEnv()
 		rng := xrand.New(seed)
 		var out []Decision
 		for _, ph := range phases {
 			for w := 0; w < ph.windows; w++ {
 				r := env.rate(d.Level(), ph.shareMBps) * 1e6 * rng.NoiseFactor(0.02)
-				if ro, ok := d.(RatioObserver); ok {
-					out2 := 0.3 + 0.4*rng.Float64()
-					ro.ObserveRatio(out2)
-				}
-				d.Observe(r)
+				ratio := 0.3 + 0.4*rng.Float64()
+				d.Observe(Window{Rate: r, AppBytes: 1e6, WireBytes: int64(ratio * 1e6)})
 				out = append(out, d.LastDecision())
 			}
 		}
@@ -221,9 +219,10 @@ func TestDeciderConvergenceNeedsBackoff(t *testing.T) {
 		{shareMBps: 10, windows: 100},
 		{shareMBps: 100, windows: 100},
 	}
-	d := MustNewDecider(Config{Levels: 4, DisableBackoff: true})
+	d := mustAlgOne(Config{Levels: 4, DisableBackoff: true})
 	runConvergence(t, d, phases, 1)
-	probes, _, _, observed := d.Stats()
+	ps := d.PolicyStats()
+	probes, observed := ps.Probes, ps.Observed
 	if probes <= 60 {
 		t.Fatalf("backoff-free decider made only %d probes over %d windows — the churn bound in the convergence test has no teeth",
 			probes, observed)

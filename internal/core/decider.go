@@ -21,7 +21,9 @@
 //     revert the previous change by moving one level against the probe
 //     direction.
 //
-// The Decider is a pure state machine: it contains no clocks, no I/O and no
+// Every level choice goes through one seam, Policy (policy.go): the engine
+// feeds each completed Window and adopts the returned level. AlgorithmOne is
+// a pure state machine behind it: it contains no clocks, no I/O and no
 // goroutines, so the identical production code runs both under the real-time
 // stream layer (internal/stream) and inside the discrete-event cloud
 // simulator (internal/cloudsim) that regenerates the paper's evaluation.
@@ -42,7 +44,9 @@ const (
 	DefaultWindowSeconds = 2.0
 )
 
-// Config parameterizes a Decider.
+// Config parameterizes the registry policies built by New. Policies ignore
+// knobs that do not apply to them: Seed matters only to stochastic
+// policies, and the three ablation knobs are AlgorithmOne's alone.
 type Config struct {
 	// Levels is the number of compression levels n (including level 0 =
 	// no compression). Must be >= 1.
@@ -52,11 +56,9 @@ type Config struct {
 	// |cdr-pdr| > Alpha*pdr. Zero means DefaultAlpha. Negative is invalid.
 	Alpha float64
 
-	// DisableBackoff turns the exponential backoff scheme off, so an
-	// optimistic probe happens every window in which the rate is stable.
-	// It exists for the ablation study (DESIGN.md A3); the paper's
-	// algorithm always has backoff enabled.
-	DisableBackoff bool
+	// Seed drives any stochastic component (the bandit's exploration).
+	// Policies are fully deterministic given (Config, windows).
+	Seed uint64
 
 	// MaxBackoffExp caps the backoff exponent so that probing never stops
 	// entirely. Zero means the paper's behaviour (uncapped). The paper
@@ -64,6 +66,12 @@ type Config struct {
 	// delay the reaction to increased compressibility; capping is the
 	// obvious extension and is exercised by the ablation benches.
 	MaxBackoffExp int
+
+	// DisableBackoff turns the exponential backoff scheme off, so an
+	// optimistic probe happens every window in which the rate is stable.
+	// It exists for the ablation study (DESIGN.md A3); the paper's
+	// algorithm always has backoff enabled.
+	DisableBackoff bool
 
 	// DisableRevert turns off the revert-on-degradation rule (Algorithm 1
 	// lines 19-27 keep resetting the backoff, but the level stays put).
@@ -90,7 +98,7 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // AlgorithmOne is the paper-faithful decision model state machine and the
-// default Decider policy. Its fields mirror the variables of Algorithm 1
+// default registry policy. Its fields mirror the variables of Algorithm 1
 // and Table I in the paper. An AlgorithmOne is not safe for concurrent use;
 // the stream layer serializes access.
 //
@@ -99,13 +107,19 @@ func (c Config) withDefaults() (Config, error) {
 // behind the Decider interface, never modifications of this code.
 type AlgorithmOne struct {
 	cfg Config
+	ladderState
+}
 
+// ladderState is the Algorithm 1 skeleton every registry policy shares:
+// the variables of Table I plus the decision diagnostics. Embedding it
+// gives a policy Level, LastDecision and PolicyStats.
+type ladderState struct {
 	ccl int     // current compression level, initially 0
 	c   int     // calls since last level change
-	inc bool    // true if the last change was an increase, initially true
 	bck []int   // per-level backoff exponents, initially 0
 	pdr float64 // previous window's application data rate
 
+	inc      bool // true if the last change was an increase, initially true
 	havePrev bool // pdr is valid (false only before the first observation)
 
 	// Diagnostics, not part of the paper's algorithm.
@@ -116,6 +130,31 @@ type AlgorithmOne struct {
 	wasted   int // probes undone by a revert on the very next window
 
 	last Decision // outcome of the most recent Observe
+}
+
+func newLadderState(levels int) ladderState {
+	return ladderState{
+		inc: true, // Table I: inc is initially TRUE
+		bck: make([]int, levels),
+	}
+}
+
+// Level returns the currently selected compression level ccl.
+func (s *ladderState) Level() int { return s.ccl }
+
+// LastDecision returns what the most recent Observe call did. Before the
+// first Observe it is the zero Decision.
+func (s *ladderState) LastDecision() Decision { return s.last }
+
+// PolicyStats reports the cumulative decision economics.
+func (s *ladderState) PolicyStats() PolicyStats {
+	return PolicyStats{
+		Probes:       s.probes,
+		Reverts:      s.reverts,
+		Rewards:      s.rewards,
+		Observed:     s.observed,
+		WastedProbes: s.wasted,
+	}
 }
 
 // DecisionKind classifies what one Observe call did.
@@ -167,58 +206,17 @@ type Decision struct {
 	Backoff int
 }
 
-// LastDecision returns what the most recent Observe call did. Before the
-// first Observe it is the zero Decision.
-func (d *AlgorithmOne) LastDecision() Decision { return d.last }
-
-// NewDecider creates the paper-faithful AlgorithmOne policy for the given
-// configuration. (The name predates the Decider interface; use NewPolicy to
-// construct a policy by name.)
-func NewDecider(cfg Config) (*AlgorithmOne, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return &AlgorithmOne{
-		cfg: cfg,
-		inc: true, // Table I: inc is initially TRUE
-		bck: make([]int, cfg.Levels),
-	}, nil
-}
-
-// MustNewDecider is NewDecider for known-good configurations.
-func MustNewDecider(cfg Config) *AlgorithmOne {
-	d, err := NewDecider(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
+// newAlgorithmOne creates the paper-faithful policy from a validated
+// configuration (see New).
+func newAlgorithmOne(cfg Config) *AlgorithmOne {
+	return &AlgorithmOne{cfg: cfg, ladderState: newLadderState(cfg.Levels)}
 }
 
 // Name implements Decider.
 func (d *AlgorithmOne) Name() string { return PolicyAlgorithmOne }
 
-// PolicyStats implements Decider.
-func (d *AlgorithmOne) PolicyStats() PolicyStats {
-	return PolicyStats{
-		Probes:       d.probes,
-		Reverts:      d.reverts,
-		Rewards:      d.rewards,
-		Observed:     d.observed,
-		WastedProbes: d.wasted,
-	}
-}
-
-// Level returns the currently selected compression level ccl.
-func (d *AlgorithmOne) Level() int { return d.ccl }
-
 // Backoff returns the current backoff exponent of the given level.
 func (d *AlgorithmOne) Backoff(level int) int { return d.bck[level] }
-
-// Stats reports probe/revert/reward counters for diagnostics and tests.
-func (d *AlgorithmOne) Stats() (probes, reverts, rewards, observed int) {
-	return d.probes, d.reverts, d.rewards, d.observed
-}
 
 // Snapshot is a point-in-time view of the decision model's state, exposed
 // for logging and debugging. The field names follow Table I of the paper.
@@ -252,7 +250,8 @@ func (d *AlgorithmOne) String() string {
 
 // Observe feeds one window's application data rate (application bytes per
 // second, measured before compression) into the decision model and returns
-// the compression level to use for the next window.
+// the compression level to use for the next window. Algorithm 1 is
+// rate-only: the window's byte totals are ignored.
 //
 // This is Algorithm 1 plus the surrounding bookkeeping the paper describes
 // in prose: pdr is primed with cdr on the first call ("On the first call of
@@ -262,7 +261,8 @@ func (d *AlgorithmOne) String() string {
 // algorithm"), and the result is clamped to the valid level range with the
 // probe direction flipping at the edges so that probing continues at the
 // ladder's ends.
-func (d *AlgorithmOne) Observe(cdr float64) int {
+func (d *AlgorithmOne) Observe(w Window) int {
+	cdr := w.Rate
 	d.observed++
 	if !d.havePrev {
 		d.pdr = cdr
@@ -273,29 +273,7 @@ func (d *AlgorithmOne) Observe(cdr float64) int {
 	ncl, move, kind := d.next(cdr, d.pdr, d.ccl)
 	d.pdr = cdr
 
-	// Clamp to the ladder. The paper leaves edge handling implicit; we
-	// resolve it as follows. An optimistic *probe* that would leave the
-	// ladder flips direction instead (otherwise the algorithm would
-	// repeatedly try to leave the ladder in a direction that does not
-	// exist and never probe the other one). A degradation *revert* that
-	// would leave the ladder simply stays put: a revert is a retreat to
-	// known-good ground, not an invitation to explore.
-	if ncl < 0 || ncl > d.cfg.Levels-1 {
-		switch move {
-		case moveProbe:
-			if ncl < 0 {
-				ncl = min(1, d.cfg.Levels-1)
-			} else {
-				ncl = max(d.cfg.Levels-2, 0)
-			}
-		default:
-			if ncl < 0 {
-				ncl = 0
-			} else {
-				ncl = d.cfg.Levels - 1
-			}
-		}
-	}
+	ncl = clampToLadder(ncl, d.cfg.Levels, move == moveProbe)
 
 	if ncl != d.ccl {
 		d.inc = ncl > d.ccl // inc updated from ccl and the returned ncl
@@ -317,6 +295,29 @@ func (d *AlgorithmOne) Observe(cdr float64) int {
 		Backoff:  d.bck[from],
 	}
 	return d.ccl
+}
+
+// clampToLadder resolves a proposed level ncl against the ladder [0,
+// levels). The paper leaves edge handling implicit; every registry policy
+// resolves it as follows. An optimistic *probe* that would leave the ladder
+// flips direction instead (otherwise the algorithm would repeatedly try to
+// leave the ladder in a direction that does not exist and never probe the
+// other one). A degradation *revert* that would leave the ladder simply
+// stays put: a revert is a retreat to known-good ground, not an invitation
+// to explore.
+func clampToLadder(ncl, levels int, probe bool) int {
+	switch {
+	case ncl >= 0 && ncl < levels:
+		return ncl
+	case probe && ncl < 0:
+		return min(1, levels-1)
+	case probe:
+		return max(levels-2, 0)
+	case ncl < 0:
+		return 0
+	default:
+		return levels - 1
+	}
 }
 
 type moveKind int
@@ -380,16 +381,13 @@ func (d *AlgorithmOne) next(cdr, pdr float64, ccl int) (int, moveKind, DecisionK
 }
 
 func (d *AlgorithmOne) backoffExpired() bool {
-	if d.cfg.DisableBackoff {
-		return true
-	}
-	exp := d.bck[d.ccl]
-	// 2^exp without overflow: beyond 62 the threshold exceeds any
-	// realistic call count anyway.
-	if exp > 62 {
-		return false
-	}
-	return d.c >= 1<<uint(exp)
+	return d.cfg.DisableBackoff || backoffDue(d.c, d.bck[d.ccl])
+}
+
+// backoffDue reports c >= 2^exp without overflow: beyond 62 the threshold
+// exceeds any realistic call count anyway.
+func backoffDue(c, exp int) bool {
+	return exp <= 62 && c >= 1<<uint(exp)
 }
 
 func (d *AlgorithmOne) rewardLevel(level int) {

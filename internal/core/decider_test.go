@@ -9,29 +9,39 @@ import (
 
 func newTestDecider(t *testing.T, cfg Config) *AlgorithmOne {
 	t.Helper()
-	d, err := NewDecider(cfg)
+	d, err := New(PolicyAlgorithmOne, cfg)
 	if err != nil {
-		t.Fatalf("NewDecider(%+v): %v", cfg, err)
+		t.Fatalf("New(%+v): %v", cfg, err)
 	}
-	return d
+	return d.(*AlgorithmOne)
+}
+
+// mustAlgOne builds the paper policy for known-good test configurations.
+func mustAlgOne(cfg Config) *AlgorithmOne {
+	return MustNew(PolicyAlgorithmOne, cfg).(*AlgorithmOne)
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewDecider(Config{Levels: 0}); err == nil {
-		t.Error("zero levels accepted")
+	for _, name := range PolicyNames() {
+		if _, err := New(name, Config{Levels: 0}); err == nil {
+			t.Errorf("%s: zero levels accepted", name)
+		}
+		if _, err := New(name, Config{Levels: 4, Alpha: -0.1}); err == nil {
+			t.Errorf("%s: negative alpha accepted", name)
+		}
+		if _, err := New(name, Config{Levels: 4, MaxBackoffExp: -1}); err == nil {
+			t.Errorf("%s: negative backoff cap accepted", name)
+		}
 	}
-	if _, err := NewDecider(Config{Levels: 4, Alpha: -0.1}); err == nil {
-		t.Error("negative alpha accepted")
+	if _, err := New("nosuch", Config{Levels: 4}); err == nil {
+		t.Error("unknown policy name accepted")
 	}
-	if _, err := NewDecider(Config{Levels: 4, MaxBackoffExp: -1}); err == nil {
-		t.Error("negative backoff cap accepted")
-	}
-	d, err := NewDecider(Config{Levels: 4})
-	if err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
+	d := newTestDecider(t, Config{Levels: 4})
 	if d.cfg.Alpha != DefaultAlpha {
 		t.Errorf("alpha default not applied: %v", d.cfg.Alpha)
+	}
+	if d, err := New("", Config{Levels: 4}); err != nil || d.Name() != PolicyAlgorithmOne {
+		t.Errorf(`New("") = %v, %v; want the paper default`, d, err)
 	}
 }
 
@@ -41,7 +51,16 @@ func TestMustNewDeciderPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustNewDecider(Config{Levels: -1})
+	MustNew(PolicyAlgorithmOne, Config{Levels: -1})
+}
+
+func TestStaticNeverMoves(t *testing.T) {
+	var p Policy = Static(2)
+	for _, w := range []Window{{}, {Rate: 1e9}, {Rate: 5, AppBytes: 10, WireBytes: 3}} {
+		if got := p.Observe(w); got != 2 || p.Level() != 2 {
+			t.Fatalf("Static(2).Observe(%+v) = %d, Level %d; want 2", w, got, p.Level())
+		}
+	}
 }
 
 func TestInitialState(t *testing.T) {
@@ -61,7 +80,7 @@ func TestInitialState(t *testing.T) {
 // is initially TRUE, so the algorithm probes up to level 1.
 func TestFirstCallProbesUp(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	if got := d.Observe(100); got != 1 {
+	if got := d.Observe(Window{Rate: 100}); got != 1 {
 		t.Fatalf("first observation -> level %d, want 1", got)
 	}
 }
@@ -70,8 +89,8 @@ func TestFirstCallProbesUp(t *testing.T) {
 // level's backoff exponent and not change the level (lines 15-18).
 func TestImprovementRewardsLevel(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100)        // probe 0 -> 1
-	lvl := d.Observe(200) // +100% at level 1: improvement
+	d.Observe(Window{Rate: 100})        // probe 0 -> 1
+	lvl := d.Observe(Window{Rate: 200}) // +100% at level 1: improvement
 	if lvl != 1 {
 		t.Fatalf("improvement changed level to %d", lvl)
 	}
@@ -85,8 +104,8 @@ func TestImprovementRewardsLevel(t *testing.T) {
 // window, as the paper emphasizes.
 func TestDegradationReverts(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100)       // level 0 -> 1 (probe up, inc=true)
-	lvl := d.Observe(50) // -50%: degradation at level 1
+	d.Observe(Window{Rate: 100})       // level 0 -> 1 (probe up, inc=true)
+	lvl := d.Observe(Window{Rate: 50}) // -50%: degradation at level 1
 	if lvl != 0 {
 		t.Fatalf("degradation at level 1 -> level %d, want revert to 0", lvl)
 	}
@@ -98,14 +117,14 @@ func TestDegradationReverts(t *testing.T) {
 // TestAlphaToleranceBand: changes within alpha*pdr count as "no change".
 func TestAlphaToleranceBand(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4, Alpha: 0.2})
-	d.Observe(100) // -> level 1
+	d.Observe(Window{Rate: 100}) // -> level 1
 	// 100 -> 115 is within 20% of pdr=100: "no change". Backoff for level
 	// 1 is 0, c=1 >= 2^0, so it probes again (inc=true): level 2.
-	if got := d.Observe(115); got != 2 {
+	if got := d.Observe(Window{Rate: 115}); got != 2 {
 		t.Fatalf("stable rate did not probe: level %d, want 2", got)
 	}
 	// 115 -> 137 is within 20% of 115 (limit 138): still stable, probe to 3.
-	if got := d.Observe(137); got != 3 {
+	if got := d.Observe(Window{Rate: 137}); got != 3 {
 		t.Fatalf("stable rate did not probe: level %d, want 3", got)
 	}
 }
@@ -115,22 +134,22 @@ func TestAlphaToleranceBand(t *testing.T) {
 // windows (line 6: c >= 2^bck[ccl]).
 func TestExponentialBackoff(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100) // -> level 1 (probe)
+	d.Observe(Window{Rate: 100}) // -> level 1 (probe)
 	// Three improvements at level 1: backoff exponent reaches 3.
-	d.Observe(200)
-	d.Observe(400)
-	d.Observe(800)
+	d.Observe(Window{Rate: 200})
+	d.Observe(Window{Rate: 400})
+	d.Observe(Window{Rate: 800})
 	if d.Backoff(1) != 3 {
 		t.Fatalf("backoff[1] = %d, want 3", d.Backoff(1))
 	}
 	// Now the rate is stable: the next probe must take exactly 2^3 = 8
 	// stable windows.
 	for i := 1; i < 8; i++ {
-		if got := d.Observe(800); got != 1 {
+		if got := d.Observe(Window{Rate: 800}); got != 1 {
 			t.Fatalf("probe fired after only %d stable windows (level %d)", i, got)
 		}
 	}
-	if got := d.Observe(800); got == 1 {
+	if got := d.Observe(Window{Rate: 800}); got == 1 {
 		t.Fatal("probe did not fire after 2^3 stable windows")
 	}
 }
@@ -140,10 +159,10 @@ func TestExponentialBackoff(t *testing.T) {
 // switches ... again become more frequent ... in the future").
 func TestBackoffResetReenablesProbing(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100)
-	d.Observe(200)
-	d.Observe(400) // backoff[1] = 2
-	d.Observe(100) // degradation at level 1: revert to 0, bck[1]=0
+	d.Observe(Window{Rate: 100})
+	d.Observe(Window{Rate: 200})
+	d.Observe(Window{Rate: 400}) // backoff[1] = 2
+	d.Observe(Window{Rate: 100}) // degradation at level 1: revert to 0, bck[1]=0
 	if d.Level() != 0 || d.Backoff(1) != 0 {
 		t.Fatalf("state after degradation: level=%d bck[1]=%d", d.Level(), d.Backoff(1))
 	}
@@ -153,25 +172,25 @@ func TestBackoffResetReenablesProbing(t *testing.T) {
 // false, so the next optimistic probe goes downward.
 func TestProbeDirectionFollowsInc(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100) // 0 -> 1 probe up, inc=true
-	d.Observe(300) // improvement; stay at 1, bck[1]=1
-	d.Observe(300) // stable, c=1 < 2^1: no probe
-	d.Observe(300) // stable, c=2 >= 2^1: probe up (inc=true) -> 2
+	d.Observe(Window{Rate: 100}) // 0 -> 1 probe up, inc=true
+	d.Observe(Window{Rate: 300}) // improvement; stay at 1, bck[1]=1
+	d.Observe(Window{Rate: 300}) // stable, c=1 < 2^1: no probe
+	d.Observe(Window{Rate: 300}) // stable, c=2 >= 2^1: probe up (inc=true) -> 2
 	if d.Level() != 2 {
 		t.Fatalf("expected probe to 2, at %d", d.Level())
 	}
-	d.Observe(150) // degradation at 2: revert to 1, inc=false
+	d.Observe(Window{Rate: 150}) // degradation at 2: revert to 1, inc=false
 	if d.Level() != 1 {
 		t.Fatalf("expected revert to 1, at %d", d.Level())
 	}
-	d.Observe(300) // improvement back at 1 (150->300): bck[1] now 2, stay
+	d.Observe(Window{Rate: 300}) // improvement back at 1 (150->300): bck[1] now 2, stay
 	if d.Backoff(1) != 2 {
 		t.Fatalf("backoff[1] = %d, want 2", d.Backoff(1))
 	}
-	d.Observe(300) // stable c=1 < 2^2
-	d.Observe(300) // stable c=2 < 2^2
-	d.Observe(300) // stable c=3 < 2^2
-	d.Observe(300) // stable c=4 >= 2^2: probe with inc=false -> down to 0
+	d.Observe(Window{Rate: 300}) // stable c=1 < 2^2
+	d.Observe(Window{Rate: 300}) // stable c=2 < 2^2
+	d.Observe(Window{Rate: 300}) // stable c=3 < 2^2
+	d.Observe(Window{Rate: 300}) // stable c=4 >= 2^2: probe with inc=false -> down to 0
 	if d.Level() != 0 {
 		t.Fatalf("probe after revert went to %d, want 0 (downward)", d.Level())
 	}
@@ -180,10 +199,10 @@ func TestProbeDirectionFollowsInc(t *testing.T) {
 // TestEdgeFlipAtBottom: a probe below level 0 flips to probe upward.
 func TestEdgeFlipAtBottom(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100) // 0 -> 1, inc=true
-	d.Observe(50)  // degradation: revert to 0, inc=false
+	d.Observe(Window{Rate: 100}) // 0 -> 1, inc=true
+	d.Observe(Window{Rate: 50})  // degradation: revert to 0, inc=false
 	// Stable windows at level 0: probe direction is down, flips to up.
-	lvl := d.Observe(50)
+	lvl := d.Observe(Window{Rate: 50})
 	if lvl != 1 {
 		t.Fatalf("edge probe at level 0 went to %d, want flip up to 1", lvl)
 	}
@@ -193,8 +212,8 @@ func TestEdgeFlipAtBottom(t *testing.T) {
 // revert to -1; it must stay at 0 and not spuriously probe upward.
 func TestEdgeRevertStaysAtBottom(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 1})
-	d.Observe(100)
-	lvl := d.Observe(10) // heavy degradation, nowhere to go
+	d.Observe(Window{Rate: 100})
+	lvl := d.Observe(Window{Rate: 10}) // heavy degradation, nowhere to go
 	if lvl != 0 {
 		t.Fatalf("revert at single-level ladder moved to %d", lvl)
 	}
@@ -203,12 +222,12 @@ func TestEdgeRevertStaysAtBottom(t *testing.T) {
 // TestEdgeFlipAtTop: probes beyond the top level flip to probe downward.
 func TestEdgeFlipAtTop(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 3})
-	d.Observe(100) // -> 1
-	d.Observe(100) // stable -> probe up -> 2 (top)
+	d.Observe(Window{Rate: 100}) // -> 1
+	d.Observe(Window{Rate: 100}) // stable -> probe up -> 2 (top)
 	if d.Level() != 2 {
 		t.Fatalf("setup failed, at level %d", d.Level())
 	}
-	lvl := d.Observe(100) // stable at top: probe up flips to down -> 1
+	lvl := d.Observe(Window{Rate: 100}) // stable at top: probe up flips to down -> 1
 	if lvl != 1 {
 		t.Fatalf("edge probe at top went to %d, want 1", lvl)
 	}
@@ -219,7 +238,7 @@ func TestSingleLevelLadderNeverMoves(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 1})
 	rnd := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		if lvl := d.Observe(rnd.Float64() * 1000); lvl != 0 {
+		if lvl := d.Observe(Window{Rate: rnd.Float64() * 1000}); lvl != 0 {
 			t.Fatalf("single-level ladder returned %d", lvl)
 		}
 	}
@@ -230,7 +249,7 @@ func TestSingleLevelLadderNeverMoves(t *testing.T) {
 func TestLevelAlwaysInRange(t *testing.T) {
 	prop := func(levels uint8, seed int64, n uint16) bool {
 		nLevels := int(levels)%8 + 1
-		d := MustNewDecider(Config{Levels: nLevels})
+		d := mustAlgOne(Config{Levels: nLevels})
 		rnd := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(n); i++ {
 			var rate float64
@@ -247,7 +266,7 @@ func TestLevelAlwaysInRange(t *testing.T) {
 					rate = 0
 				}
 			}
-			lvl := d.Observe(rate)
+			lvl := d.Observe(Window{Rate: rate})
 			if lvl < 0 || lvl >= nLevels {
 				return false
 			}
@@ -264,7 +283,7 @@ func TestLevelAlwaysInRange(t *testing.T) {
 func TestZeroRateStream(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
 	for i := 0; i < 100; i++ {
-		lvl := d.Observe(0)
+		lvl := d.Observe(Window{Rate: 0})
 		if lvl < 0 || lvl > 3 {
 			t.Fatalf("level %d out of range on zero rates", lvl)
 		}
@@ -284,7 +303,7 @@ func TestConvergenceToBestLevel(t *testing.T) {
 	const windows = 600
 	for i := 0; i < windows; i++ {
 		rate := rates[lvl] * (1 + rnd.NormFloat64()*0.02)
-		lvl = d.Observe(rate)
+		lvl = d.Observe(Window{Rate: rate})
 		if lvl == 1 {
 			atBest++
 		}
@@ -305,7 +324,7 @@ func TestProbingDecaysExponentially(t *testing.T) {
 		switches := 0
 		prev := d.Level()
 		for i := 0; i < windows; i++ {
-			lvl = d.Observe(rates[lvl])
+			lvl = d.Observe(Window{Rate: rates[lvl]})
 			if lvl != prev {
 				switches++
 			}
@@ -333,13 +352,13 @@ func TestImmediateReactionToDegradation(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
 	lvl := 0
 	for i := 0; i < 200; i++ {
-		lvl = d.Observe(rates[lvl])
+		lvl = d.Observe(Window{Rate: rates[lvl]})
 	}
 	if lvl != 1 {
 		t.Fatalf("setup: expected convergence to level 1, at %d", lvl)
 	}
 	before := d.Level()
-	after := d.Observe(rates[lvl] * 0.2) // sharp degradation
+	after := d.Observe(Window{Rate: rates[lvl] * 0.2}) // sharp degradation
 	if after == before {
 		t.Fatal("no immediate reaction to sharp degradation")
 	}
@@ -348,13 +367,13 @@ func TestImmediateReactionToDegradation(t *testing.T) {
 // TestDisableBackoffProbesEveryStableWindow covers the A3 ablation knob.
 func TestDisableBackoffProbesEveryStableWindow(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4, DisableBackoff: true})
-	d.Observe(100)
-	d.Observe(300) // improvement: would normally set bck[1]=1
+	d.Observe(Window{Rate: 100})
+	d.Observe(Window{Rate: 300}) // improvement: would normally set bck[1]=1
 	if d.Backoff(1) != 0 {
 		t.Fatalf("backoff accumulated despite DisableBackoff: %d", d.Backoff(1))
 	}
-	lvlA := d.Observe(300) // stable: probe immediately
-	lvlB := d.Observe(300) // stable: probe again immediately
+	lvlA := d.Observe(Window{Rate: 300}) // stable: probe immediately
+	lvlB := d.Observe(Window{Rate: 300}) // stable: probe again immediately
 	if lvlA == 1 && lvlB == 1 {
 		t.Fatal("no probing with backoff disabled")
 	}
@@ -363,9 +382,9 @@ func TestDisableBackoffProbesEveryStableWindow(t *testing.T) {
 // TestMaxBackoffExpCap covers the capped-backoff extension.
 func TestMaxBackoffExpCap(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 2, MaxBackoffExp: 2})
-	d.Observe(100)
+	d.Observe(Window{Rate: 100})
 	for i := 0; i < 10; i++ {
-		d.Observe(100 * float64(i+2)) // continuous improvement
+		d.Observe(Window{Rate: 100 * float64(i+2)}) // continuous improvement
 	}
 	if d.Backoff(1) > 2 {
 		t.Fatalf("backoff %d exceeds cap 2", d.Backoff(1))
@@ -375,10 +394,11 @@ func TestMaxBackoffExpCap(t *testing.T) {
 // TestStatsCounters sanity-checks the diagnostic counters.
 func TestStatsCounters(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100) // probe
-	d.Observe(200) // reward
-	d.Observe(50)  // revert
-	probes, reverts, rewards, observed := d.Stats()
+	d.Observe(Window{Rate: 100}) // probe
+	d.Observe(Window{Rate: 200}) // reward
+	d.Observe(Window{Rate: 50})  // revert
+	ps := d.PolicyStats()
+	probes, reverts, rewards, observed := ps.Probes, ps.Reverts, ps.Rewards, ps.Observed
 	if probes != 1 || reverts != 1 || rewards != 1 || observed != 3 {
 		t.Fatalf("stats = %d probes, %d reverts, %d rewards, %d observed",
 			probes, reverts, rewards, observed)
@@ -387,8 +407,8 @@ func TestStatsCounters(t *testing.T) {
 
 func TestSnapshotAndString(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100e6)
-	d.Observe(200e6)
+	d.Observe(Window{Rate: 100e6})
+	d.Observe(Window{Rate: 200e6})
 	snap := d.Snapshot()
 	if snap.CCL != d.Level() || snap.Observed != 2 {
 		t.Fatalf("snapshot = %+v", snap)
@@ -416,7 +436,7 @@ func TestExtremeCdrValues(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
 	inputs := []float64{1e308, 0, 1e-308, 5, 1e308, 3}
 	for _, in := range inputs {
-		lvl := d.Observe(in)
+		lvl := d.Observe(Window{Rate: in})
 		if lvl < 0 || lvl > 3 {
 			t.Fatalf("level %d out of range for input %v", lvl, in)
 		}
@@ -424,7 +444,7 @@ func TestExtremeCdrValues(t *testing.T) {
 }
 
 func BenchmarkObserve(b *testing.B) {
-	d := MustNewDecider(Config{Levels: 4})
+	d := mustAlgOne(Config{Levels: 4})
 	rnd := rand.New(rand.NewSource(1))
 	rates := make([]float64, 1024)
 	for i := range rates {
@@ -432,6 +452,6 @@ func BenchmarkObserve(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Observe(rates[i%len(rates)])
+		d.Observe(Window{Rate: rates[i%len(rates)]})
 	}
 }

@@ -2,52 +2,68 @@ package core
 
 import "fmt"
 
-// Decider is the pluggable level-selection policy interface: the contract
-// every decision policy — the paper's Algorithm 1 and the learned variants —
-// satisfies. A Decider is a pure, seeded state machine: no clocks, no I/O,
-// no goroutines, no global randomness, so the identical policy code runs
-// under the real-time stream layer (internal/stream), the fleet coordinator
-// fallback (internal/coord) and the discrete-event simulator
-// (internal/cloudsim, internal/scenario, internal/experiments), and two
-// instances constructed with the same configuration and fed the same
-// observations produce the same decision trace — the determinism the
-// policy-matrix CI gate replays.
-//
-// Implementations are not safe for concurrent use; callers serialize.
-//
-// The contract (see docs/deciders.md):
-//
-//   - Observe consumes one completed decision window's application data
-//     rate (bytes/second, pre-compression — the cdr of Algorithm 1) and
-//     returns the level for the next window, within [0, Levels).
-//   - Level returns the currently selected level without observing.
-//   - LastDecision classifies what the most recent Observe did, feeding
-//     the obs-layer decision event log.
-//   - PolicyStats reports the probe/revert economics the two-axis
-//     acceptance bound gates on (see PolicyStats.WastedProbes).
-type Decider interface {
-	// Observe feeds one window's application data rate and returns the
-	// compression level for the next window.
-	Observe(cdr float64) int
-	// Level returns the currently selected compression level.
+// Window is one completed decision window as the engine that ran it
+// measured it: the whole input of a level policy. Fields are added only
+// when a policy reads them.
+type Window struct {
+	// Rate is the window's application data rate in bytes/second,
+	// measured before compression: the cdr of Algorithm 1.
+	Rate float64
+	// AppBytes and WireBytes are the window's byte totals at the
+	// application and wire layers. Zero means the engine does not know
+	// them (the rate-only simulators).
+	AppBytes, WireBytes int64
+}
+
+// Ratio is the window's achieved wire/app byte ratio (1 = incompressible,
+// smaller = better compression), or 0 when either byte total is unknown.
+func (w Window) Ratio() float64 {
+	if w.AppBytes <= 0 || w.WireBytes <= 0 {
+		return 0
+	}
+	return float64(w.WireBytes) / float64(w.AppBytes)
+}
+
+// Policy is the one level-selection seam: every engine (the stream writer,
+// the simulators, the fleet coordinator's streams) feeds it each completed
+// window and adopts the returned level for the next. Implementations are
+// not safe for concurrent use; callers serialize.
+type Policy interface {
+	// Observe consumes one completed window and returns the level for
+	// the next window, within [0, Levels).
+	Observe(Window) int
+	// Level returns the currently selected level without observing; an
+	// engine starts at it.
 	Level() int
-	// LastDecision returns what the most recent Observe call did.
+}
+
+// Static pins one level forever: the paper's NO / LIGHT / MEDIUM / HEAVY
+// static baselines (Table II).
+type Static int
+
+// Observe implements Policy: the level never moves.
+func (s Static) Observe(Window) int { return int(s) }
+
+// Level implements Policy.
+func (s Static) Level() int { return int(s) }
+
+// Decider is a Policy that explains itself: the registry policies
+// (Algorithm 1 and the learned variants) built by New. A Decider is a pure,
+// seeded state machine: no clocks, no I/O, no goroutines, no global
+// randomness, so the identical policy code runs under the real-time stream
+// layer, the fleet coordinator fallback and the discrete-event simulators,
+// and two instances built from the same Config and fed the same windows
+// produce the same decision trace (see docs/deciders.md).
+type Decider interface {
+	Policy
+	// LastDecision classifies what the most recent Observe did; it feeds
+	// the obs-layer decision event log.
 	LastDecision() Decision
-	// PolicyStats reports cumulative decision diagnostics.
+	// PolicyStats reports the probe/revert economics the two-axis
+	// acceptance bound gates on.
 	PolicyStats() PolicyStats
 	// Name returns the policy's registry name (e.g. "algone").
 	Name() string
-}
-
-// RatioObserver is optionally implemented by policies whose context folds
-// in the achieved compression ratio. Layers that know per-window byte
-// totals at both layers (the stream writer's window accounting) call
-// ObserveRatio before Observe; layers that only see rates never do, and
-// the policy must behave sensibly either way.
-type RatioObserver interface {
-	// ObserveRatio reports the completed window's achieved wire/app byte
-	// ratio (1.0 = incompressible, smaller = better compression).
-	ObserveRatio(ratio float64)
 }
 
 // PolicyStats is the cumulative decision economics of a policy: what the
@@ -68,7 +84,7 @@ type PolicyStats struct {
 	// the probe-economy axis of the acceptance bound — a learned policy
 	// must waste strictly fewer probes than AlgorithmOne while staying
 	// within-or-better on converged throughput; bounding either axis
-	// alone is gameable (see CheatStick).
+	// alone is gameable (a Static policy never wastes a probe).
 	WastedProbes int
 }
 
@@ -80,112 +96,41 @@ const (
 	PolicyBandit = "bandit"
 	// PolicyEWMA is the EWMA trend-predictive policy.
 	PolicyEWMA = "ewma"
-	// PolicyCheatStick is the rigged sentinel that never probes. It
-	// exists to prove the two-axis acceptance bound has teeth and must
-	// never be selected outside tests.
-	PolicyCheatStick = "cheatstick"
 )
 
-// PolicyNames lists the selectable policies in catalog order (the
-// CheatStick sentinel is constructible by name but deliberately excluded:
-// it exists to fail the acceptance bound, not to be deployed).
+// PolicyNames lists the registry policies in catalog order.
 func PolicyNames() []string {
 	return []string{PolicyAlgorithmOne, PolicyBandit, PolicyEWMA}
 }
 
-// ValidPolicy reports whether name is a constructible policy name.
-func ValidPolicy(name string) bool {
+// New constructs a registry policy by name; the empty name selects the
+// paper default, Algorithm 1. An unknown name or an invalid Config is an
+// error.
+func New(name string, cfg Config) (Decider, error) {
 	switch name {
-	case PolicyAlgorithmOne, PolicyBandit, PolicyEWMA, PolicyCheatStick:
-		return true
-	default:
-		return false
-	}
-}
-
-// PolicyConfig is the shared configuration all policies are constructed
-// from. Policies ignore knobs that do not apply to them (the ablation
-// flags are AlgorithmOne-only; Seed matters only to stochastic policies).
-type PolicyConfig struct {
-	// Levels is the ladder size n (including level 0). Must be >= 1.
-	Levels int
-	// Alpha is the rate tolerance band; zero means DefaultAlpha.
-	Alpha float64
-	// Seed drives any stochastic component (the bandit's exploration).
-	// Policies must be fully deterministic given (config, observations).
-	Seed uint64
-	// DisableBackoff, MaxBackoffExp, DisableRevert are AlgorithmOne's
-	// ablation knobs, forwarded verbatim.
-	DisableBackoff bool
-	MaxBackoffExp  int
-	DisableRevert  bool
-}
-
-// NewPolicy constructs a policy by registry name.
-func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
-	switch name {
-	case PolicyAlgorithmOne, "": // empty selects the paper default
-		return NewDecider(Config{
-			Levels:         cfg.Levels,
-			Alpha:          cfg.Alpha,
-			DisableBackoff: cfg.DisableBackoff,
-			MaxBackoffExp:  cfg.MaxBackoffExp,
-			DisableRevert:  cfg.DisableRevert,
-		})
-	case PolicyBandit:
-		return NewBandit(cfg)
-	case PolicyEWMA:
-		return NewEWMAPredictive(cfg)
-	case PolicyCheatStick:
-		return NewCheatStick(cfg)
+	case PolicyAlgorithmOne, "", PolicyBandit, PolicyEWMA:
 	default:
 		return nil, fmt.Errorf("core: unknown decider policy %q (want one of %v)", name, PolicyNames())
 	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	switch name {
+	case PolicyBandit:
+		return newBandit(cfg), nil
+	case PolicyEWMA:
+		return newEWMAPredictive(cfg), nil
+	default:
+		return newAlgorithmOne(cfg), nil
+	}
 }
 
-// MustNewPolicy is NewPolicy for known-good configurations.
-func MustNewPolicy(name string, cfg PolicyConfig) Decider {
-	d, err := NewPolicy(name, cfg)
+// MustNew is New for known-good names and configurations.
+func MustNew(name string, cfg Config) Decider {
+	d, err := New(name, cfg)
 	if err != nil {
 		panic(err)
 	}
 	return d
 }
-
-// CheatStick is the acceptance-bound sentinel, in the DisableRevert /
-// CheatFreeze lineage: a policy that never probes at all. It trivially
-// achieves zero wasted probes — the probe-economy axis alone would wave it
-// through — but it can never leave its starting level, so any workload
-// where another level wins exposes it on the throughput axis. The
-// policy-matrix tests run it to prove the bound is genuinely two-axis.
-type CheatStick struct {
-	level    int
-	observed int
-}
-
-// NewCheatStick creates the never-probe sentinel pinned at level 0.
-func NewCheatStick(cfg PolicyConfig) (*CheatStick, error) {
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("core: config needs at least 1 level, got %d", cfg.Levels)
-	}
-	return &CheatStick{}, nil
-}
-
-// Observe implements Decider: it refuses to move.
-func (c *CheatStick) Observe(float64) int { c.observed++; return c.level }
-
-// Level implements Decider.
-func (c *CheatStick) Level() int { return c.level }
-
-// LastDecision implements Decider: always a hold.
-func (c *CheatStick) LastDecision() Decision {
-	return Decision{Kind: DecisionHold, From: c.level, To: c.level}
-}
-
-// PolicyStats implements Decider: zero probes, zero waste — by cheating.
-func (c *CheatStick) PolicyStats() PolicyStats {
-	return PolicyStats{Observed: c.observed}
-}
-
-// Name implements Decider.
-func (c *CheatStick) Name() string { return PolicyCheatStick }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Predictive tuning constants (see docs/deciders.md for the calibration
 // discussion).
@@ -56,46 +53,26 @@ type EWMAPredictive struct {
 	levels int
 	alpha  float64
 
-	ccl int
-	c   int
-	inc bool
-	bck []int
-
-	pdr      float64
-	havePrev bool
+	ladderState
 
 	fast, slow float64
 	armed      bool
-
-	probes, reverts, rewards, wasted int
-	shifts                           int // trend-shift firings (diagnostic)
-	observed                         int
-	last                             Decision
 }
 
-// NewEWMAPredictive creates a trend-predictive decider.
-func NewEWMAPredictive(cfg PolicyConfig) (*EWMAPredictive, error) {
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("core: config needs at least 1 level, got %d", cfg.Levels)
-	}
-	if cfg.Alpha < 0 {
-		return nil, fmt.Errorf("core: negative alpha %v", cfg.Alpha)
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
+// newEWMAPredictive creates a trend-predictive decider from a validated
+// configuration (see New).
+func newEWMAPredictive(cfg Config) *EWMAPredictive {
 	return &EWMAPredictive{
-		levels: cfg.Levels,
-		alpha:  alpha,
-		inc:    true,
-		bck:    make([]int, cfg.Levels),
-		armed:  true,
-	}, nil
+		levels:      cfg.Levels,
+		alpha:       cfg.Alpha,
+		ladderState: newLadderState(cfg.Levels),
+		armed:       true,
+	}
 }
 
-// Observe implements Decider.
-func (p *EWMAPredictive) Observe(cdr float64) int {
+// Observe implements Policy; the policy is rate-only.
+func (p *EWMAPredictive) Observe(w Window) int {
+	cdr := w.Rate
 	p.observed++
 	if !p.havePrev {
 		p.pdr = cdr
@@ -113,7 +90,6 @@ func (p *EWMAPredictive) Observe(cdr float64) int {
 	if shifted {
 		if p.armed {
 			p.bck[p.ccl] = 0
-			p.shifts++
 			p.armed = false
 		}
 	} else {
@@ -129,7 +105,7 @@ func (p *EWMAPredictive) Observe(cdr float64) int {
 	p.c++
 	switch {
 	case abs <= p.alpha*prev: // stable: probe when the slow timer expires
-		if p.backoffExpired() {
+		if backoffDue(p.c, p.bck[p.ccl]) {
 			if p.inc {
 				ncl++
 			} else {
@@ -164,21 +140,7 @@ func (p *EWMAPredictive) Observe(cdr float64) int {
 		p.c = 0
 	}
 
-	if ncl < 0 || ncl > p.levels-1 {
-		if probeMove {
-			if ncl < 0 {
-				ncl = min(1, p.levels-1)
-			} else {
-				ncl = max(p.levels-2, 0)
-			}
-		} else {
-			if ncl < 0 {
-				ncl = 0
-			} else {
-				ncl = p.levels - 1
-			}
-		}
-	}
+	ncl = clampToLadder(ncl, p.levels, probeMove)
 	if ncl != p.ccl {
 		p.inc = ncl > p.ccl
 		p.ccl = ncl
@@ -188,33 +150,5 @@ func (p *EWMAPredictive) Observe(cdr float64) int {
 	return p.ccl
 }
 
-func (p *EWMAPredictive) backoffExpired() bool {
-	exp := p.bck[p.ccl]
-	if exp > 62 {
-		return false
-	}
-	return p.c >= 1<<uint(exp)
-}
-
-// Level implements Decider.
-func (p *EWMAPredictive) Level() int { return p.ccl }
-
-// LastDecision implements Decider.
-func (p *EWMAPredictive) LastDecision() Decision { return p.last }
-
-// PolicyStats implements Decider.
-func (p *EWMAPredictive) PolicyStats() PolicyStats {
-	return PolicyStats{
-		Probes:       p.probes,
-		Reverts:      p.reverts,
-		Rewards:      p.rewards,
-		Observed:     p.observed,
-		WastedProbes: p.wasted,
-	}
-}
-
 // Name implements Decider.
 func (p *EWMAPredictive) Name() string { return PolicyEWMA }
-
-// Shifts reports how many times the trend detector fired (diagnostic).
-func (p *EWMAPredictive) Shifts() int { return p.shifts }

@@ -107,7 +107,7 @@ func TestDeciderMatchesReferenceModel(t *testing.T) {
 	prop := func(seed int64, levels8 uint8, alphaPct uint8, n uint16) bool {
 		levels := int(levels8)%7 + 1
 		alpha := float64(alphaPct%80)/100 + 0.01
-		d := MustNewDecider(Config{Levels: levels, Alpha: alpha})
+		d := mustAlgOne(Config{Levels: levels, Alpha: alpha})
 		ref := newReferenceModel(levels, alpha)
 		rnd := rand.New(rand.NewSource(seed))
 		rate := 100.0
@@ -127,7 +127,7 @@ func TestDeciderMatchesReferenceModel(t *testing.T) {
 			default:
 				// hold
 			}
-			if d.Observe(rate) != ref.observe(rate) {
+			if d.Observe(Window{Rate: rate}) != ref.observe(rate) {
 				return false
 			}
 		}
@@ -145,14 +145,14 @@ func TestDeciderMatchesReferenceModel(t *testing.T) {
 // TestDeciderMatchesReferenceLongRun runs one long deterministic stream to
 // also compare internal state evolution (backoff values).
 func TestDeciderMatchesReferenceLongRun(t *testing.T) {
-	d := MustNewDecider(Config{Levels: 4, Alpha: 0.2})
+	d := mustAlgOne(Config{Levels: 4, Alpha: 0.2})
 	ref := newReferenceModel(4, 0.2)
 	rnd := rand.New(rand.NewSource(42))
 	rates := []float64{80, 200, 140, 25}
 	lvl, rlvl := 0, 0
 	for i := 0; i < 20000; i++ {
 		r := rates[lvl] * (1 + rnd.NormFloat64()*0.05)
-		lvl = d.Observe(r)
+		lvl = d.Observe(Window{Rate: r})
 		rlvl = ref.observe(r)
 		if lvl != rlvl {
 			t.Fatalf("step %d: decider %d vs reference %d", i, lvl, rlvl)

@@ -19,13 +19,13 @@ type AblationRow struct {
 }
 
 // runAblation executes one transfer with the given scheme.
-func runAblation(label string, scheme cloudsim.Scheme, kind corpus.Kind, bg int, totalBytes int64, seed uint64) (AblationRow, error) {
+func runAblation(label string, scheme core.Policy, kind corpus.Kind, bg int, totalBytes int64, seed uint64) (AblationRow, error) {
 	res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 		Platform:   cloudsim.KVMParavirt,
 		Kind:       cloudsim.ConstantKind(kind),
 		TotalBytes: totalBytes,
 		Background: bg,
-		Scheme:     scheme,
+		Policy:     scheme,
 		Profiles:   cloudsim.ReferenceProfiles(),
 		Seed:       seed,
 	})
@@ -53,7 +53,7 @@ func AblationAlpha(alphas []float64, totalBytes int64, seed uint64) ([]AblationR
 	}
 	var rows []AblationRow
 	for _, a := range alphas {
-		dec := core.MustNewDecider(core.Config{Levels: 4, Alpha: a})
+		dec := core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4, Alpha: a})
 		row, err := runAblation(fmt.Sprintf("alpha=%.2f", a), dec, corpus.Moderate, 2, totalBytes, seed)
 		if err != nil {
 			return nil, err
@@ -85,7 +85,7 @@ func AblationWindow(windows []float64, totalBytes int64, seed uint64) ([]Ablatio
 			TotalBytes:    totalBytes,
 			Background:    0,
 			WindowSeconds: w,
-			Scheme:        core.MustNewDecider(core.Config{Levels: 4}),
+			Policy:        core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}),
 			Profiles:      cloudsim.ReferenceProfiles(),
 			Seed:          seed,
 		})
@@ -119,7 +119,7 @@ func AblationBackoff(totalBytes int64, seed uint64) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		row, err := runAblation(v.label, core.MustNewDecider(v.cfg), corpus.High, 0, totalBytes, seed)
+		row, err := runAblation(v.label, core.MustNew(core.PolicyAlgorithmOne, v.cfg), corpus.High, 0, totalBytes, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +158,7 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 	train := baseline.DefaultTraining()
 	type namedScheme struct {
 		name   string
-		scheme cloudsim.Scheme
+		scheme core.Policy
 	}
 	mkSchemes := func() ([]namedScheme, error) {
 		ks, err := baseline.NewKrintzSucu(train)
@@ -174,7 +174,7 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 			return nil, err
 		}
 		return []namedScheme{
-			{"DYNAMIC (paper)", core.MustNewDecider(core.Config{Levels: 4})},
+			{"DYNAMIC (paper)", core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4})},
 			{"NCTCSys", baseline.NewNCTCSys(4)},
 			{"KrintzSucu", ks},
 			{"Jeannot(AdOC)", jt},
@@ -195,7 +195,7 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 				Kind:       cloudsim.ConstantKind(sc.kind),
 				TotalBytes: totalBytes,
 				Background: sc.bg,
-				Scheme:     cloudsim.StaticScheme(lvl),
+				Policy:     core.Static(lvl),
 				Profiles:   cloudsim.ReferenceProfiles(),
 				Seed:       seed,
 			})
@@ -213,7 +213,7 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 				Kind:       cloudsim.ConstantKind(sc.kind),
 				TotalBytes: totalBytes,
 				Background: sc.bg,
-				Scheme:     ns.scheme,
+				Policy:     ns.scheme,
 				Profiles:   cloudsim.ReferenceProfiles(),
 				Seed:       seed,
 			})

@@ -49,7 +49,7 @@ func TestCheatStickFailsMatrixBound(t *testing.T) {
 		t.Skip("full policy matrix skipped under -short")
 	}
 	res := ciMatrix(t)
-	violations := res.CheckBound(core.PolicyCheatStick, core.PolicyAlgorithmOne, DefaultThroughputTolerance)
+	violations := res.CheckBound(SentinelPolicy, core.PolicyAlgorithmOne, DefaultThroughputTolerance)
 	if len(violations) == 0 {
 		t.Fatal("CheatStick passed the two-axis bound — the throughput axis has no teeth")
 	}
@@ -59,7 +59,7 @@ func TestCheatStickFailsMatrixBound(t *testing.T) {
 		}
 	}
 	// And the half-bound it is designed to exploit: zero wasted probes.
-	if _, wasted := res.Totals(core.PolicyCheatStick); wasted != 0 {
+	if _, wasted := res.Totals(SentinelPolicy); wasted != 0 {
 		t.Errorf("CheatStick wasted %d probes; the sentinel must never probe", wasted)
 	}
 }

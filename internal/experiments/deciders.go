@@ -35,8 +35,15 @@ type DeciderMatrixResult struct {
 	Cells       map[string]map[corpus.Kind]map[int]DeciderCell
 }
 
+// SentinelPolicy is the matrix label of the never-probe sentinel, a policy
+// pinned at NO (core.Static(0)). It trivially wastes no probes — the
+// probe-economy axis alone would wave it through — but it can never leave
+// level 0, so the throughput axis must reject it: the proof that the
+// acceptance bound is genuinely two-axis.
+const SentinelPolicy = "cheatstick"
+
 // DeciderMatrixConfig parameterizes the sweep. The zero value gives the CI
-// configuration: every registered policy plus the CheatStick sentinel, the
+// configuration: every registered policy plus the never-probe sentinel, the
 // full Table II workload grid at 2 GB per transfer, 3 runs per cell.
 type DeciderMatrixConfig struct {
 	// Policies to sweep; nil means core.PolicyNames() + the sentinel.
@@ -58,7 +65,7 @@ type DeciderMatrixConfig struct {
 // result, cell for cell, which is what lets CI gate on it.
 func DeciderMatrix(cfg DeciderMatrixConfig) (DeciderMatrixResult, error) {
 	if cfg.Policies == nil {
-		cfg.Policies = append(core.PolicyNames(), core.PolicyCheatStick)
+		cfg.Policies = append(core.PolicyNames(), SentinelPolicy)
 	}
 	if cfg.TotalBytes == 0 {
 		cfg.TotalBytes = 2e9
@@ -78,9 +85,15 @@ func DeciderMatrix(cfg DeciderMatrixConfig) (DeciderMatrixResult, error) {
 		Cells:       map[string]map[corpus.Kind]map[int]DeciderCell{},
 	}
 	profiles := cloudsim.ReferenceProfiles()
+	newPolicy := func(name string, seed uint64) (core.Policy, error) {
+		if name == SentinelPolicy {
+			return core.Static(0), nil
+		}
+		return core.New(name, core.Config{Levels: len(profiles), Seed: seed})
+	}
 	for pi, policy := range cfg.Policies {
-		if !core.ValidPolicy(policy) {
-			return res, fmt.Errorf("experiments: unknown decider policy %q", policy)
+		if _, err := newPolicy(policy, 0); err != nil {
+			return res, fmt.Errorf("experiments: %w", err)
 		}
 		res.Cells[policy] = map[corpus.Kind]map[int]DeciderCell{}
 		for _, kind := range res.Kinds {
@@ -94,16 +107,13 @@ func DeciderMatrix(cfg DeciderMatrixConfig) (DeciderMatrixResult, error) {
 					// the policy seed folds in the policy index so
 					// stochastic policies explore independently.
 					wseed := cfg.Seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(run)<<16
-					d := core.MustNewPolicy(policy, core.PolicyConfig{
-						Levels: len(profiles),
-						Seed:   wseed ^ uint64(pi+1)<<8,
-					})
+					p, _ := newPolicy(policy, wseed^uint64(pi+1)<<8) // name validated above
 					r, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 						Platform:   cfg.Platform,
 						Kind:       cloudsim.ConstantKind(kind),
 						TotalBytes: cfg.TotalBytes,
 						Background: bg,
-						Scheme:     d,
+						Policy:     p,
 						Profiles:   profiles,
 						Seed:       wseed,
 					})
@@ -111,9 +121,11 @@ func DeciderMatrix(cfg DeciderMatrixConfig) (DeciderMatrixResult, error) {
 						return res, err
 					}
 					times[run] = r.CompletionSeconds
-					ps := d.PolicyStats()
-					cell.Probes += ps.Probes
-					cell.WastedProbes += ps.WastedProbes
+					if d, ok := p.(core.Decider); ok {
+						ps := d.PolicyStats()
+						cell.Probes += ps.Probes
+						cell.WastedProbes += ps.WastedProbes
+					}
 				}
 				cell.MeanSeconds, cell.SDSeconds = stats.MeanStdDev(times)
 				if cell.MeanSeconds > 0 {
@@ -163,7 +175,7 @@ const DefaultThroughputTolerance = 0.08
 //     wastes none).
 //
 // Both axes must hold; the returned violations list every failure. The
-// CheatStick sentinel exists to fail the first axis — see the matrix tests.
+// SentinelPolicy exists to fail the first axis — see the matrix tests.
 func (r DeciderMatrixResult) CheckBound(policy, baseline string, tol float64) []BoundViolation {
 	var v []BoundViolation
 	base, ok := r.Cells[baseline]

@@ -30,11 +30,11 @@ var SchemeNames = []string{"NO", "LIGHT", "MEDIUM", "HEAVY", "DYNAMIC"}
 const Dynamic = 4
 
 // newScheme builds the scheme for a Table II row.
-func newScheme(idx int) cloudsim.Scheme {
+func newScheme(idx int) core.Policy {
 	if idx == Dynamic {
-		return core.MustNewDecider(core.Config{Levels: 4})
+		return core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4})
 	}
-	return cloudsim.StaticScheme(idx)
+	return core.Static(idx)
 }
 
 // ---------- Figure 1 ----------
@@ -271,7 +271,7 @@ func TableII(cfg TableIIConfig) (TableIIResult, error) {
 						Kind:       cloudsim.ConstantKind(kind),
 						TotalBytes: cfg.TotalBytes,
 						Background: bg,
-						Scheme:     newScheme(si),
+						Policy:     newScheme(si),
 						Profiles:   cfg.Profiles,
 						Seed:       cfg.Seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(si)<<24 ^ uint64(run),
 					})
@@ -378,7 +378,7 @@ func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64)
 		Kind:       kind,
 		TotalBytes: totalBytes,
 		Background: bg,
-		Scheme:     core.MustNewDecider(core.Config{Levels: 4}),
+		Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}),
 		Profiles:   cloudsim.ReferenceProfiles(),
 		Seed:       seed,
 		Trace: func(ws cloudsim.WindowSample) {

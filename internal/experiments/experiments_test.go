@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"adaptio/internal/core"
 	"math"
 	"strings"
 	"testing"
@@ -391,7 +392,7 @@ func TestCalibrate(t *testing.T) {
 		Platform:   cloudsim.KVMParavirt,
 		Kind:       cloudsim.ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     cloudsim.StaticScheme(1),
+		Policy:     core.Static(1),
 		Profiles:   profiles,
 		Seed:       1,
 	})

@@ -37,13 +37,13 @@ func FileChannel(totalBytes int64, seed uint64) ([]FileChannelRow, error) {
 	var rows []FileChannelRow
 	schemes := []struct {
 		name string
-		mk   func() cloudsim.Scheme
+		mk   func() core.Policy
 	}{
-		{"NO", func() cloudsim.Scheme { return cloudsim.StaticScheme(0) }},
-		{"LIGHT", func() cloudsim.Scheme { return cloudsim.StaticScheme(1) }},
-		{"MEDIUM", func() cloudsim.Scheme { return cloudsim.StaticScheme(2) }},
-		{"HEAVY", func() cloudsim.Scheme { return cloudsim.StaticScheme(3) }},
-		{"DYNAMIC", func() cloudsim.Scheme { return core.MustNewDecider(core.Config{Levels: 4}) }},
+		{"NO", func() core.Policy { return core.Static(0) }},
+		{"LIGHT", func() core.Policy { return core.Static(1) }},
+		{"MEDIUM", func() core.Policy { return core.Static(2) }},
+		{"HEAVY", func() core.Policy { return core.Static(3) }},
+		{"DYNAMIC", func() core.Policy { return core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4}) }},
 	}
 	for _, platform := range []cloudsim.Platform{cloudsim.KVMParavirt, cloudsim.XenParavirt} {
 		for _, kind := range []corpus.Kind{corpus.High, corpus.Low} {
@@ -52,7 +52,7 @@ func FileChannel(totalBytes int64, seed uint64) ([]FileChannelRow, error) {
 					Platform:   platform,
 					Kind:       cloudsim.ConstantKind(kind),
 					TotalBytes: totalBytes,
-					Scheme:     s.mk(),
+					Policy:     s.mk(),
 					Profiles:   cloudsim.ReferenceProfiles(),
 					Seed:       seed ^ uint64(platform)<<16 ^ uint64(kind)<<8,
 				})

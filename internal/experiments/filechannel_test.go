@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"adaptio/internal/core"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestRunFileTransferValidation(t *testing.T) {
 		Platform:   cloudsim.XenParavirt,
 		Kind:       cloudsim.ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     cloudsim.StaticScheme(0),
+		Policy:     core.Static(0),
 		Profiles:   cloudsim.ReferenceProfiles(),
 	}
 	bad := base
@@ -115,9 +116,9 @@ func TestRunFileTransferValidation(t *testing.T) {
 		t.Error("zero volume accepted")
 	}
 	bad = base
-	bad.Scheme = nil
+	bad.Policy = nil
 	if _, err := cloudsim.RunFileTransfer(bad); err == nil {
-		t.Error("nil scheme accepted")
+		t.Error("nil policy accepted")
 	}
 	bad = base
 	bad.Platform = cloudsim.Platform(77)

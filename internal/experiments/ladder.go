@@ -94,7 +94,7 @@ func AblationLadder(totalBytes int64, seed uint64) ([]LadderRow, error) {
 				Kind:       cloudsim.ConstantKind(sc.kind),
 				TotalBytes: totalBytes,
 				Background: sc.bg,
-				Scheme:     core.MustNewDecider(core.Config{Levels: len(l.ladder)}),
+				Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: len(l.ladder)}),
 				Profiles:   profiles,
 				Seed:       seed,
 			})

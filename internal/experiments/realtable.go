@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"adaptio/internal/core"
 	"fmt"
 	"io"
 	"net"
@@ -60,8 +61,8 @@ func RealTableII(cfg RealTableIIConfig) ([]RealCell, error) {
 		name string
 		cfg  stream.WriterConfig
 	}{
-		{"NO", stream.WriterConfig{Static: true, StaticLevel: stream.LevelNo}},
-		{"LIGHT", stream.WriterConfig{Static: true, StaticLevel: stream.LevelLight}},
+		{"NO", stream.WriterConfig{Policy: core.Static(stream.LevelNo)}},
+		{"LIGHT", stream.WriterConfig{Policy: core.Static(stream.LevelLight)}},
 		{"DYNAMIC", stream.WriterConfig{}},
 	}
 	var cells []RealCell

@@ -9,7 +9,7 @@ package experiments_test
 //   - TestScenarioBuiltinClaimsPass: all claims hold on honest runs;
 //   - TestScenarioRigMatrix: every rig breaks exactly the claims it
 //     targets (scenario.RigTargets) — proving the claims are load-bearing
-//     and the rigs stay sharp, the DisableRevert/CheatFreeze sentinel
+//     and the rigs stay sharp, the DisableRevert sentinel
 //     pattern applied to whole scenarios.
 //
 // The 1000-VM nightly scenario is skipped under -short; everything else

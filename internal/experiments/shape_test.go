@@ -44,7 +44,7 @@ func meanStatic(t *testing.T, kind corpus.Kind, bg, level int) float64 {
 			Kind:       cloudsim.ConstantKind(kind),
 			TotalBytes: shapeVolume,
 			Background: bg,
-			Scheme:     cloudsim.StaticScheme(level),
+			Policy:     core.Static(level),
 			Profiles:   cloudsim.ReferenceProfiles(),
 			Seed:       shapeSeed ^ run<<16 ^ uint64(bg)<<8 ^ uint64(level)<<4,
 		})
@@ -67,7 +67,7 @@ func meanDynamic(t *testing.T, kind corpus.Kind, bg int, disableRevert bool) flo
 			Kind:       cloudsim.ConstantKind(kind),
 			TotalBytes: shapeVolume,
 			Background: bg,
-			Scheme:     core.MustNewDecider(core.Config{Levels: 4, DisableRevert: disableRevert}),
+			Policy:     core.MustNew(core.PolicyAlgorithmOne, core.Config{Levels: 4, DisableRevert: disableRevert}),
 			Profiles:   cloudsim.ReferenceProfiles(),
 			Seed:       shapeSeed ^ run<<16 ^ uint64(bg)<<8,
 		})

@@ -1,6 +1,7 @@
 package faultio_test
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"context"
 	"errors"
@@ -126,7 +127,7 @@ func runStreamScenario(t *testing.T, seed uint64, payload []byte) outcome {
 
 	go func() {
 		w, err := stream.NewWriter(wireW, stream.WriterConfig{
-			Static: true, StaticLevel: 1 + int(seed%3), BlockSize: 8 << 10,
+			Policy: core.Static(1 + int(seed%3)), BlockSize: 8 << 10,
 			Parallelism: int(seed % 3), // 0..2: cover sync and parallel writers
 		})
 		if err != nil {
@@ -253,7 +254,7 @@ func runTunnelScenario(t *testing.T, seed uint64, payload []byte) outcome {
 	wrap := func(c net.Conn) net.Conn { return faultio.WrapConn(c, sc.Cfg) }
 
 	base := tunnel.Config{
-		Static: true, StaticLevel: 1,
+		Policy:        tunnel.StaticPolicy(1),
 		IdleTimeout:   300 * time.Millisecond, // bounds stalls
 		ShutdownGrace: 100 * time.Millisecond,
 		DialRetries:   2,

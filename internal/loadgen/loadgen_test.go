@@ -127,13 +127,13 @@ func TestSoakShort(t *testing.T) {
 	echo := startEcho(t)
 	reg := obs.NewRegistry()
 	tcfg := tunnel.Config{
-		Static: true, StaticLevel: 1,
+		Policy:        tunnel.StaticPolicy(1),
 		MaxConns:      maxConns,
 		AcceptQueue:   queue,
 		ShutdownGrace: 2 * time.Second,
 		Obs:           reg.Scope("tunnel"),
 	}
-	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echo, tunnel.Config{Static: true, StaticLevel: 1, ShutdownGrace: 2 * time.Second})
+	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echo, tunnel.Config{Policy: tunnel.StaticPolicy(1), ShutdownGrace: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"adaptio/internal/block"
+	"adaptio/internal/core"
 	"adaptio/internal/ratelimit"
 	"adaptio/internal/stream"
 )
@@ -350,12 +351,15 @@ func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, fu
 	}
 	cfg := stream.WriterConfig{
 		Window:    spec.Window,
-		Alpha:     spec.Alpha,
 		BlockSize: spec.BlockSize,
+		Policy:    core.Static(spec.StaticLevel),
 	}
-	if spec.Compression == CompressionStatic {
-		cfg.Static = true
-		cfg.StaticLevel = spec.StaticLevel
+	if spec.Compression != CompressionStatic {
+		dec, err := core.New(core.PolicyAlgorithmOne, core.Config{Levels: len(stream.DefaultLadder()), Alpha: spec.Alpha})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		cfg.Policy = dec
 	}
 	sw, err := stream.NewWriter(w, cfg)
 	if err != nil {

@@ -70,25 +70,20 @@ func (rl *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// take blocks until amount tokens are available and consumes them.
+// take consumes amount tokens, sleeping off any debt it leaves. The bucket
+// keeps the debt and the next take credits the time actually elapsed since
+// this one, so time lost to a coarse sleep timer (oversleeping by less than
+// burst/rate) is paid back instead of lowering the delivered rate.
 func (rl *Writer) take(amount float64) {
 	now := rl.now()
 	if !rl.last.IsZero() {
-		rl.tokens += now.Sub(rl.last).Seconds() * rl.rate
-		if rl.tokens > rl.burst {
-			rl.tokens = rl.burst
-		}
+		rl.tokens = min(rl.tokens+now.Sub(rl.last).Seconds()*rl.rate, rl.burst)
 	}
 	rl.last = now
-	if rl.tokens >= amount {
-		rl.tokens -= amount
-		return
+	rl.tokens -= amount
+	if rl.tokens < 0 {
+		rl.sleep(time.Duration(-rl.tokens / rl.rate * float64(time.Second)))
 	}
-	deficit := amount - rl.tokens
-	wait := time.Duration(deficit / rl.rate * float64(time.Second))
-	rl.sleep(wait)
-	rl.last = rl.now()
-	rl.tokens = 0
 }
 
 // SetRate changes the target rate; used to emulate appearing/disappearing

@@ -136,3 +136,30 @@ func TestRealTimeSmoke(t *testing.T) {
 		t.Fatalf("200 KB at 2 MB/s took %v", elapsed)
 	}
 }
+
+// TestOversleepCreditedBack: a host sleep timer that overshoots every sleep
+// (by less than burst/rate) must not lower the delivered rate — the time
+// lost to one oversleep is credited to the next write.
+func TestOversleepCreditedBack(t *testing.T) {
+	const burst = 64 << 10
+	for _, rate := range []float64{11e6, 80e6, 1000e6} {
+		w, ft := newVirtual(t, io.Discard, rate, burst)
+		over := time.Duration(0.9 * burst / rate * float64(time.Second))
+		w.sleep = func(d time.Duration) { ft.Sleep(d + over) }
+		const total = 4096 * burst
+		start := ft.now
+		for i := 0; i < total/burst; i++ {
+			if _, err := w.Write(make([]byte, burst)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first burst rides the initial bucket; only the final
+		// oversleep is never paid back.
+		elapsed := ft.now.Sub(start)
+		want := time.Duration(float64(total-burst) / rate * float64(time.Second))
+		if elapsed < want || elapsed > want+over+time.Microsecond {
+			t.Errorf("%.0f MB/s with %v oversleep: %v for %d bytes, want %v (+ at most one oversleep)",
+				rate/1e6, over, elapsed, total, want)
+		}
+	}
+}

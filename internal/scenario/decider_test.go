@@ -11,7 +11,8 @@ import (
 // variant's converged goodput per scenario AND waste strictly fewer probes
 // than AlgorithmOne in aggregate — and keep every builtin's claims passing.
 // (Per-scenario waste is allowed to tie: a single builtin can be a wash, the
-// aggregate cannot.) The CheatStick sentinel proves the goodput axis bites.
+// aggregate cannot.) The never-probe sentinel (the adaptive variant pinned
+// at NO by RigPinAdaptiveNO) proves the goodput axis bites.
 
 // deciderGoodputTolerance is how far below AlgorithmOne's goodput a learned
 // policy may land on any single builtin. Measured slack: the learned
@@ -85,19 +86,24 @@ func TestBuiltinsDeciderBound(t *testing.T) {
 	}
 }
 
-// TestCheatStickFailsScenarioBound is the sentinel leg: the never-probe
-// policy has perfect probe economy and must be rejected by the goodput axis
-// on every builtin. A hetfleet run suffices — it is the cheapest builtin
-// where every corpus kind rewards some compression.
+// TestCheatStickFailsScenarioBound is the sentinel leg: a never-probe
+// policy (the adaptive variant pinned at NO by RigPinAdaptiveNO) has
+// perfect probe economy and must be rejected by the goodput axis on every
+// builtin. A hetfleet run suffices — it is the cheapest builtin where every
+// corpus kind rewards some compression.
 func TestCheatStickFailsScenarioBound(t *testing.T) {
 	base, _ := runAdaptive(t, "hetfleet", core.PolicyAlgorithmOne)
-	cheat, _ := runAdaptive(t, "hetfleet", core.PolicyCheatStick)
+	res, err := Run(Lookup("hetfleet"), Options{Parallel: 6, Rig: RigPinAdaptiveNO})
+	if err != nil {
+		t.Fatalf("hetfleet pinned at NO: %v", err)
+	}
+	cheat := res.Variant("adaptive")
 	if cheat.WastedProbes != 0 || cheat.Probes != 0 {
-		t.Fatalf("CheatStick probed (%d probes, %d wasted); the sentinel must never probe",
+		t.Fatalf("pinned policy probed (%d probes, %d wasted); the sentinel must never probe",
 			cheat.Probes, cheat.WastedProbes)
 	}
 	if floor := base.GoodputMBps * (1 - deciderGoodputTolerance); cheat.GoodputMBps >= floor {
-		t.Fatalf("CheatStick goodput %.2f MB/s is within %.0f%% of AlgorithmOne's %.2f — the goodput axis has no teeth",
+		t.Fatalf("pinned goodput %.2f MB/s is within %.0f%% of AlgorithmOne's %.2f — the goodput axis has no teeth",
 			cheat.GoodputMBps, deciderGoodputTolerance*100, base.GoodputMBps)
 	}
 }

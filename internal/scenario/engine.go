@@ -15,7 +15,7 @@ import (
 )
 
 // Rig names a deliberate property-breaker: the scenario suite's sentinel
-// mechanism (the DisableRevert / CheatFreeze lineage). Running a built-in
+// mechanism (the DisableRevert lineage). Running a built-in
 // scenario with a rig must make the specific claim the rig attacks fail —
 // that failure is what proves the claim is load-bearing rather than
 // vacuously true. Rigs never appear outside tests and sentinel CLI runs.
@@ -96,7 +96,7 @@ type VariantResult struct {
 	MaxStreamFlaps    int     `json:"max_stream_flaps"`
 	// Probes and WastedProbes sum the solo deciders' probe economics over
 	// the variant's streams (zero for static, coordinated and rigged
-	// variants, whose schemes are not core.Deciders). WastedProbes is the
+	// variants, whose policies are not core.Deciders). WastedProbes is the
 	// probe-economy axis of the decider acceptance bound.
 	Probes          int           `json:"probes,omitempty"`
 	WastedProbes    int           `json:"wasted_probes,omitempty"`
@@ -163,11 +163,11 @@ func (r *Result) ClaimsPass() bool {
 }
 
 // oscillator is RigOscillate's policy: it flips between levels 0 and 1
-// every window, the worst-behaved scheme the ladder admits.
+// every window, the worst-behaved policy the ladder admits.
 type oscillator struct{ level int }
 
-func (o *oscillator) Observe(float64) int { o.level ^= 1; return o.level }
-func (o *oscillator) Level() int          { return o.level }
+func (o *oscillator) Observe(core.Window) int { o.level ^= 1; return o.level }
+func (o *oscillator) Level() int              { return o.level }
 
 // streamSpec is one compiled stream: everything variant-independent.
 type streamSpec struct {
@@ -370,29 +370,29 @@ func (e *engine) env() *cloudsim.FleetEnv {
 	return &cloudsim.FleetEnv{Capacity: capacity, ExtraSigma: sigma, Loss: loss, RTTSeconds: rtt}
 }
 
-// schemeFactory returns the per-stream scheme constructor for a variant,
+// policyFactory returns the per-stream policy constructor for a variant,
 // with the rig's substitutions applied.
-func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.Scheme, error) {
+func (e *engine) policyFactory(variant string) (func(spec streamSpec) core.Policy, error) {
 	levels := len(e.profiles)
+	static := func(l int) (func(streamSpec) core.Policy, error) {
+		return func(streamSpec) core.Policy { return core.Static(l) }, nil
+	}
 	switch variant {
 	case "adaptive":
 		switch e.rig {
 		case RigPinAdaptiveHeavy:
-			return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(levels - 1) }, nil
+			return static(levels - 1)
 		case RigPinAdaptiveNO:
-			return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(0) }, nil
+			return static(0)
 		case RigOscillate:
-			return func(streamSpec) cloudsim.Scheme { return &oscillator{} }, nil
+			return func(streamSpec) core.Policy { return &oscillator{} }, nil
 		}
-		return func(spec streamSpec) cloudsim.Scheme {
-			return core.MustNewPolicy(e.sc.Decider, core.PolicyConfig{
-				Levels: levels,
-				Seed:   spec.seed,
-			})
+		return func(spec streamSpec) core.Policy {
+			return core.MustNew(e.sc.Decider, core.Config{Levels: levels, Seed: spec.seed})
 		}, nil
 	case "coordinated":
 		if e.rig == RigOscillate {
-			return func(streamSpec) cloudsim.Scheme { return &oscillator{} }, nil
+			return func(streamSpec) core.Policy { return &oscillator{} }, nil
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: e.sc.NICMBps * 1e6,
@@ -401,7 +401,7 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.S
 		if err != nil {
 			return nil, fmt.Errorf("scenario: coordinator: %w", err)
 		}
-		return func(spec streamSpec) cloudsim.Scheme {
+		return func(spec streamSpec) core.Policy {
 			w := spec.weight
 			if e.rig == RigFlatWeights {
 				w = 1
@@ -409,13 +409,13 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.S
 			return c.Register(coord.StreamConfig{Weight: w, Tenant: spec.tenant})
 		}, nil
 	case "static-no":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(0) }, nil
+		return static(0)
 	case "static-light":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(1) }, nil
+		return static(1)
 	case "static-medium":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(2) }, nil
+		return static(2)
 	case "static-heavy":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(levels - 1) }, nil
+		return static(levels - 1)
 	default:
 		return nil, fmt.Errorf("scenario: unknown variant %q", variant)
 	}
@@ -424,7 +424,7 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.S
 // runVariant executes one variant as a self-contained fleet simulation.
 func (e *engine) runVariant(variant string) (VariantResult, error) {
 	vr := VariantResult{Name: variant}
-	mk, err := e.schemeFactory(variant)
+	mk, err := e.policyFactory(variant)
 	if err != nil {
 		return vr, err
 	}
@@ -436,7 +436,7 @@ func (e *engine) runVariant(variant string) (VariantResult, error) {
 		}
 		streams[i] = cloudsim.FleetStream{
 			Kind:       spec.kind,
-			Scheme:     mk(spec),
+			Policy:     mk(spec),
 			Weight:     w,
 			CPUFactor:  spec.cpu,
 			Tenant:     spec.tenant,
@@ -467,7 +467,7 @@ func (e *engine) runVariant(variant string) (VariantResult, error) {
 	vr.AppBytes, vr.WireBytes = res.AppBytes, res.WireBytes
 	vr.Switches, vr.Flaps = res.Switches, res.Flaps
 	for i := range streams {
-		if d, ok := streams[i].Scheme.(core.Decider); ok {
+		if d, ok := streams[i].Policy.(core.Decider); ok {
 			ps := d.PolicyStats()
 			vr.Probes += ps.Probes
 			vr.WastedProbes += ps.WastedProbes

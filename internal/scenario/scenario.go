@@ -271,7 +271,7 @@ func (s *Scenario) Validate() error {
 	if badFloat(s.MixChunkMB) || s.MixChunkMB < 0 || s.MixChunkMB > 1e6 {
 		return fieldErrf("mix_chunk_mb", "must be in [0, 1e6], got %v", s.MixChunkMB)
 	}
-	if s.Decider != "" && !core.ValidPolicy(s.Decider) {
+	if _, err := core.New(s.Decider, core.Config{Levels: 1}); err != nil {
 		return fieldErrf("decider", "unknown policy %q (want one of %v)", s.Decider, core.PolicyNames())
 	}
 	if len(s.Fleet) == 0 {

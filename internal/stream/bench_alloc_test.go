@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"io"
 	"testing"
@@ -67,7 +68,7 @@ func benchBlock(tb testing.TB, n int) []byte {
 }
 
 func staticCfg(level, parallelism int) stream.WriterConfig {
-	return stream.WriterConfig{Static: true, StaticLevel: level, Parallelism: parallelism}
+	return stream.WriterConfig{Policy: core.Static(level), Parallelism: parallelism}
 }
 
 // encodeWire returns the wire form of data at the given static level.

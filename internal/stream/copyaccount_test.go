@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"io"
 	"testing"
@@ -18,7 +19,7 @@ func TestReadDirectRoundTrip(t *testing.T) {
 		for _, kind := range corpus.Kinds() {
 			src := corpus.Generate(kind, 300<<10, 11)
 			var wire bytes.Buffer
-			w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: lvl})
+			w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(lvl)})
 			n, err := w.ReadFrom(bytes.NewReader(src))
 			if err != nil {
 				t.Fatalf("level %d %s: ReadFrom: %v", lvl, kind, err)
@@ -44,7 +45,7 @@ func TestReadDirectRoundTrip(t *testing.T) {
 // block and returns to zero once a frame is cut.
 func TestBufferedTracksPendingBlock(t *testing.T) {
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: 0, BlockSize: 8 << 10})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(0), BlockSize: 8 << 10})
 	if w.Buffered() != 0 {
 		t.Fatalf("fresh writer Buffered = %d", w.Buffered())
 	}
@@ -77,7 +78,7 @@ func TestBufferedTracksPendingBlock(t *testing.T) {
 // reads and flushes proceed.
 func TestReadDirectTimeoutNotSticky(t *testing.T) {
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: 0})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(0)})
 	src := []byte("partial block")
 	if _, err := w.ReadDirect(bytes.NewReader(src)); err != nil && err != io.EOF {
 		t.Fatal(err)
@@ -118,15 +119,15 @@ func TestCopyAccounting(t *testing.T) {
 		direct           bool // ReadDirect vs Write
 		copied, passthru int64
 	}{
-		{"write-NO", WriterConfig{Static: true, StaticLevel: 0}, false, int64(len(high)), 0},
-		{"direct-NO", WriterConfig{Static: true, StaticLevel: 0}, true, 0, int64(len(high))},
-		{"write-LIGHT", WriterConfig{Static: true, StaticLevel: 1}, false, 2 * int64(len(high)), 0},
-		{"direct-LIGHT", WriterConfig{Static: true, StaticLevel: 1}, true, int64(len(high)), 0},
+		{"write-NO", WriterConfig{Policy: core.Static(0)}, false, int64(len(high)), 0},
+		{"direct-NO", WriterConfig{Policy: core.Static(0)}, true, 0, int64(len(high))},
+		{"write-LIGHT", WriterConfig{Policy: core.Static(1)}, false, 2 * int64(len(high)), 0},
+		{"direct-LIGHT", WriterConfig{Policy: core.Static(1)}, true, int64(len(high)), 0},
 		// Pipeline stored-raw frames ride the same vectored two-piece write
 		// as the serial path, so direct-ingest identity blocks stay
 		// copy-free; compressed pipeline frames cost the codec copy.
-		{"pipeline-direct-NO", WriterConfig{Static: true, StaticLevel: 0, Parallelism: 4}, true, 0, int64(len(high))},
-		{"pipeline-direct-LIGHT", WriterConfig{Static: true, StaticLevel: 1, Parallelism: 4}, true, int64(len(high)), 0},
+		{"pipeline-direct-NO", WriterConfig{Policy: core.Static(0), Parallelism: 4}, true, 0, int64(len(high))},
+		{"pipeline-direct-LIGHT", WriterConfig{Policy: core.Static(1), Parallelism: 4}, true, int64(len(high)), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,7 +173,7 @@ func TestReaderCopyCounters(t *testing.T) {
 
 	encode := func(level int) *bytes.Buffer {
 		var wire bytes.Buffer
-		w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: level})
+		w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(level)})
 		if _, err := w.ReadFrom(bytes.NewReader(high)); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package stream_test
 // pipeline cannot reorder, duplicate or re-split blocks.
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -75,7 +76,7 @@ func TestWireDeterminismSerialVsParallel(t *testing.T) {
 	}
 	for level := stream.LevelNo; level <= stream.LevelHeavy; level++ {
 		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
-			serialCfg := stream.WriterConfig{Static: true, StaticLevel: level}
+			serialCfg := stream.WriterConfig{Policy: core.Static(level)}
 			rng := rand.New(rand.NewSource(int64(level)))
 			want := encodeChunked(t, serialCfg, src, rng)
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -16,7 +17,7 @@ import (
 func buildWire(t *testing.T, blocks int) (wire, payload []byte, bounds []int) {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: 1024})
+	w, err := NewWriter(&buf, WriterConfig{Policy: core.Static(LevelLight), BlockSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestWriterToleratesShortWriteTransport(t *testing.T) {
 	payload := corpus.Generate(corpus.High, 256<<10, 5)
 	var wire bytes.Buffer
 	fw := faultio.NewWriter(&wire, faultio.Config{Seed: 77, PartialWrite: 0.8})
-	w, err := NewWriter(fw, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: 4096})
+	w, err := NewWriter(fw, WriterConfig{Policy: core.Static(LevelLight), BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

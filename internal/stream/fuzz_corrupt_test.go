@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"errors"
 	"io"
@@ -14,7 +15,7 @@ import (
 func corruptSeedWire(tb testing.TB) []byte {
 	tb.Helper()
 	var wire bytes.Buffer
-	w, err := NewWriter(&wire, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: 1024})
+	w, err := NewWriter(&wire, WriterConfig{Policy: core.Static(LevelLight), BlockSize: 1024})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"io"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func FuzzReader(f *testing.F) {
 	// Seed with a valid two-block stream and mutations thereof.
 	var wire bytes.Buffer
-	w, err := NewWriter(&wire, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: 1024})
+	w, err := NewWriter(&wire, WriterConfig{Policy: core.Static(LevelLight), BlockSize: 1024})
 	if err != nil {
 		f.Fatal(err)
 	}

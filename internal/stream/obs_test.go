@@ -104,12 +104,11 @@ func TestWriterObsCounters(t *testing.T) {
 	clk := vclock.NewManual()
 	var wire bytes.Buffer
 	w := mustWriter(t, &wire, WriterConfig{
-		Clock:       clk,
-		Window:      time.Second,
-		Static:      true,
-		StaticLevel: LevelLight,
-		BlockSize:   4 << 10,
-		Obs:         reg.Scope("stream").Scope("writer"),
+		Clock:     clk,
+		Window:    time.Second,
+		Policy:    core.Static(LevelLight),
+		BlockSize: 4 << 10,
+		Obs:       reg.Scope("stream").Scope("writer"),
 	})
 	payload := bytes.Repeat([]byte("abcdefgh"), 4<<10) // 32 KiB, compressible
 	if _, err := w.Write(payload); err != nil {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"io"
 	"runtime"
@@ -21,7 +22,7 @@ func TestParallelRoundTripAllKinds(t *testing.T) {
 			src := corpus.Generate(kind, 600<<10, 3)
 			var wire bytes.Buffer
 			w := mustWriter(t, &wire, WriterConfig{
-				Static: true, StaticLevel: LevelLight,
+				Policy:      core.Static(LevelLight),
 				Parallelism: workers, BlockSize: 16 << 10,
 			})
 			if _, err := w.Write(src); err != nil {
@@ -60,7 +61,7 @@ func TestParallelFramesStayOrdered(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	w := mustWriter(t, &wire, WriterConfig{
-		Static: true, StaticLevel: LevelHeavy, // heavy codec amplifies the skew
+		Policy:      core.Static(LevelHeavy), // heavy codec amplifies the skew
 		Parallelism: runtime.NumCPU(), BlockSize: 16 << 10,
 	})
 	if _, err := w.Write(src); err != nil {
@@ -105,7 +106,7 @@ func TestParallelAdaptive(t *testing.T) {
 func TestParallelFlushWaitsForInFlight(t *testing.T) {
 	leakcheck.Check(t)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelHeavy, Parallelism: 4, BlockSize: 8 << 10})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelHeavy), Parallelism: 4, BlockSize: 8 << 10})
 	src := corpus.Generate(corpus.Moderate, 256<<10, 2)
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestParallelFlushWaitsForInFlight(t *testing.T) {
 func TestParallelErrorPropagates(t *testing.T) {
 	leakcheck.Check(t)
 	w := mustWriter(t, &errWriter{n: 100}, WriterConfig{
-		Static: true, StaticLevel: 0, Parallelism: 3, BlockSize: 4 << 10,
+		Policy: core.Static(0), Parallelism: 3, BlockSize: 4 << 10,
 	})
 	data := bytes.Repeat([]byte("z"), 4<<10)
 	var sawErr error
@@ -172,7 +173,7 @@ func BenchmarkParallelHeavyCompression(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
 				w, _ := NewWriter(io.Discard, WriterConfig{
-					Static: true, StaticLevel: LevelHeavy, Parallelism: workers,
+					Policy: core.Static(LevelHeavy), Parallelism: workers,
 				})
 				if _, err := w.Write(src); err != nil {
 					b.Fatal(err)

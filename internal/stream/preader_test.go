@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"errors"
 	"io"
@@ -15,7 +16,7 @@ func buildStream(t *testing.T, kind corpus.Kind, size, level, blockSize int) ([]
 	t.Helper()
 	src := corpus.Generate(kind, size, 9)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: level, BlockSize: blockSize})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(level), BlockSize: blockSize})
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}

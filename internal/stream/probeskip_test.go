@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"io"
 	"testing"
@@ -48,14 +49,14 @@ func TestProbeSkipWireIdenticalToStoredRaw(t *testing.T) {
 	blocktest.Track(t)
 	src := incompressible(300<<10, 17) // spans full and partial blocks
 	for lvl := 1; lvl < len(DefaultLadder()); lvl++ {
-		skipped, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, src, true)
-		storedRaw, _ := encodeProbe(t, WriterConfig{Static: true, StaticLevel: LevelNo}, src, true)
+		skipped, st := encodeProbe(t, WriterConfig{Policy: core.Static(lvl)}, src, true)
+		storedRaw, _ := encodeProbe(t, WriterConfig{Policy: core.Static(LevelNo)}, src, true)
 		if !bytes.Equal(skipped, storedRaw) {
 			t.Fatalf("level %d: probe-skipped wire differs from stored-raw framing (%d vs %d bytes)",
 				lvl, len(skipped), len(storedRaw))
 		}
 		pr := probe.Disabled()
-		codecPath, stDis := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl, Probe: &pr}, src, true)
+		codecPath, stDis := encodeProbe(t, WriterConfig{Policy: core.Static(lvl), Probe: &pr}, src, true)
 		if !bytes.Equal(skipped, codecPath) {
 			t.Fatalf("level %d: probe skip changes the wire bytes vs the codec's own fallback", lvl)
 		}
@@ -96,7 +97,7 @@ func TestProbeSkipLedger(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			scope := reg.Scope("test").Scope("stream").Scope("writer")
-			cfg := WriterConfig{Static: true, StaticLevel: LevelLight, Parallelism: tc.parallelism, Obs: scope}
+			cfg := WriterConfig{Policy: core.Static(LevelLight), Parallelism: tc.parallelism, Obs: scope}
 			_, st := encodeProbe(t, cfg, src, tc.direct)
 			if st.Blocks != 2 || st.ProbeSkips != 2 {
 				t.Fatalf("Blocks=%d ProbeSkips=%d, want 2/2", st.Blocks, st.ProbeSkips)
@@ -127,7 +128,7 @@ func TestProbeSkipLedger(t *testing.T) {
 func TestProbeKeepsCompressibleBlocks(t *testing.T) {
 	for _, kind := range corpus.Kinds() {
 		src := corpus.Generate(kind, 256<<10, 7)
-		wire, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: LevelLight}, src, true)
+		wire, st := encodeProbe(t, WriterConfig{Policy: core.Static(LevelLight)}, src, true)
 		if st.ProbeSkips != 0 {
 			t.Errorf("%s: %d of %d blocks probe-skipped", kind, st.ProbeSkips, st.Blocks)
 		}

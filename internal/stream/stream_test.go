@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"errors"
 	"io"
@@ -47,7 +48,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewWriter(&buf, WriterConfig{Window: -time.Second}); err == nil {
 		t.Error("negative window accepted")
 	}
-	if _, err := NewWriter(&buf, WriterConfig{Static: true, StaticLevel: 99}); err == nil {
+	if _, err := NewWriter(&buf, WriterConfig{Policy: core.Static(99)}); err == nil {
 		t.Error("out-of-ladder static level accepted")
 	}
 	if _, err := NewWriter(&buf, WriterConfig{Ladder: compress.Ladder{}}); err == nil {
@@ -64,7 +65,7 @@ func TestStaticRoundTripAllLevels(t *testing.T) {
 		for _, kind := range corpus.Kinds() {
 			src := corpus.Generate(kind, 300<<10, 5) // spans multiple blocks
 			var wire bytes.Buffer
-			w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: lvl})
+			w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(lvl)})
 			if _, err := w.Write(src); err != nil {
 				t.Fatalf("level %d %s: write: %v", lvl, kind, err)
 			}
@@ -85,7 +86,7 @@ func TestStaticRoundTripAllLevels(t *testing.T) {
 func TestCompressionActuallyShrinksWire(t *testing.T) {
 	src := corpus.Generate(corpus.High, 512<<10, 1)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelLight)})
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRawFallbackOnIncompressibleBlocks(t *testing.T) {
 	src := make([]byte, 256<<10)
 	rnd.Read(src)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelLight)})
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestRawFallbackOnIncompressibleBlocks(t *testing.T) {
 
 func TestPartialBlockFlush(t *testing.T) {
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: 0})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(0)})
 	if _, err := w.Write([]byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func (e *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestUnderlyingErrorSticky(t *testing.T) {
-	w := mustWriter(t, &errWriter{n: 20}, WriterConfig{Static: true, StaticLevel: 0, BlockSize: 64})
+	w := mustWriter(t, &errWriter{n: 20}, WriterConfig{Policy: core.Static(0), BlockSize: 64})
 	data := bytes.Repeat([]byte("y"), 64)
 	var sawErr error
 	for i := 0; i < 10 && sawErr == nil; i++ {
@@ -277,7 +278,7 @@ func TestOnWindowCallback(t *testing.T) {
 func TestStaticModeNeverSwitches(t *testing.T) {
 	clk := vclock.NewManual()
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelMedium, Clock: clk, Window: time.Second})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelMedium), Clock: clk, Window: time.Second})
 	data := corpus.Generate(corpus.Moderate, 64<<10, 2)
 	for i := 0; i < 20; i++ {
 		if _, err := w.Write(data); err != nil {
@@ -299,7 +300,7 @@ func TestStaticModeNeverSwitches(t *testing.T) {
 func TestReaderDetectsCorruption(t *testing.T) {
 	src := corpus.Generate(corpus.Moderate, 64<<10, 4)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelLight)})
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func (rp *readerNoPanic) Read(p []byte) (n int, err error) {
 func TestReaderDetectsTruncation(t *testing.T) {
 	src := corpus.Generate(corpus.Moderate, 64<<10, 4)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelLight)})
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestReaderEmptyStream(t *testing.T) {
 func TestReaderWriteTo(t *testing.T) {
 	src := corpus.Generate(corpus.High, 300<<10, 6)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight})
+	w := mustWriter(t, &wire, WriterConfig{Policy: core.Static(LevelLight)})
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +481,7 @@ func TestExtendedLadderRoundTrip(t *testing.T) {
 	// duplicates sharing a wire codec ID.
 	for lvl := range ladder {
 		var wire bytes.Buffer
-		w := mustWriter(t, &wire, WriterConfig{Ladder: ladder, Static: true, StaticLevel: lvl})
+		w := mustWriter(t, &wire, WriterConfig{Ladder: ladder, Policy: core.Static(lvl)})
 		if _, err := w.Write(src); err != nil {
 			t.Fatal(err)
 		}
@@ -599,7 +600,7 @@ func BenchmarkWriterPerLevelPerKind(b *testing.B) {
 				b.SetBytes(int64(len(src)))
 				for i := 0; i < b.N; i++ {
 					var wire countingDiscard
-					w, _ := NewWriter(&wire, WriterConfig{Static: true, StaticLevel: lvl})
+					w, _ := NewWriter(&wire, WriterConfig{Policy: core.Static(lvl)})
 					if _, err := w.Write(src); err != nil {
 						b.Fatal(err)
 					}
@@ -627,7 +628,7 @@ func BenchmarkWriterStaticLight(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w, _ := NewWriter(io.Discard, WriterConfig{Static: true, StaticLevel: LevelLight})
+		w, _ := NewWriter(io.Discard, WriterConfig{Policy: core.Static(LevelLight)})
 		if _, err := w.Write(src); err != nil {
 			b.Fatal(err)
 		}
@@ -655,7 +656,7 @@ func BenchmarkWriterAdaptive(b *testing.B) {
 func BenchmarkReader(b *testing.B) {
 	src := corpus.Generate(corpus.Moderate, 1<<20, 1)
 	var wire bytes.Buffer
-	w, _ := NewWriter(&wire, WriterConfig{Static: true, StaticLevel: LevelLight})
+	w, _ := NewWriter(&wire, WriterConfig{Policy: core.Static(LevelLight)})
 	if _, err := w.Write(src); err != nil {
 		b.Fatal(err)
 	}

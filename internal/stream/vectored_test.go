@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"errors"
 	"io"
@@ -178,7 +179,7 @@ func TestEncodeFramePiecesRawAliasesBlock(t *testing.T) {
 func TestWriterVectoredFramesDecode(t *testing.T) {
 	app := incompressible(300<<10, 4) // raw-fallback frames throughout
 	encode := func(dst io.Writer) error {
-		w, err := NewWriter(dst, WriterConfig{Static: true, StaticLevel: LevelLight})
+		w, err := NewWriter(dst, WriterConfig{Policy: core.Static(LevelLight)})
 		if err != nil {
 			return err
 		}

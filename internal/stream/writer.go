@@ -15,33 +15,6 @@ import (
 	"adaptio/internal/vclock"
 )
 
-// Adaptive is the sentinel for WriterConfig.StaticLevel meaning "let the
-// decision model choose" (the paper's DYNAMIC mode).
-const Adaptive = -1
-
-// Scheme is an external level-selection policy plugged into a Writer via
-// WriterConfig.Scheme, replacing the internal solo decision model. It is
-// the stream layer's mirror of cloudsim.Scheme: the writer feeds it every
-// completed decision window and adopts the returned level for the next.
-// coord.Stream satisfies it (structurally — no import), which is how a
-// tunnel stream joins the fleet-level compression coordinator.
-type Scheme interface {
-	// Observe consumes the application data rate (bytes/second) of the
-	// completed window and returns the level for the next window.
-	Observe(rate float64) int
-	// Level returns the currently selected level; the writer starts at it.
-	Level() int
-}
-
-// WindowScheme is a Scheme that additionally receives the completed
-// window's byte totals at both layers, letting it estimate the achieved
-// compression ratio. When the configured Scheme satisfies it, the writer
-// calls ObserveWindowStats instead of Observe.
-type WindowScheme interface {
-	Scheme
-	ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
-}
-
 // WindowStat describes one completed decision window; it feeds the
 // time-series traces of Figures 4–6.
 type WindowStat struct {
@@ -96,57 +69,35 @@ type Stats struct {
 }
 
 // WriterConfig parameterizes a Writer. The zero value gives the paper's
-// configuration: the four-level default ladder, t = 2 s, α = 0.2, 128 KB
-// blocks, adaptive (DYNAMIC) level selection, wall-clock time.
+// configuration: the four-level default ladder, t = 2 s, 128 KB blocks,
+// adaptive (DYNAMIC) level selection by Algorithm 1 with α = 0.2,
+// wall-clock time.
 type WriterConfig struct {
 	// Ladder is the ordered compression-level ladder. Nil means
 	// DefaultLadder().
 	Ladder compress.Ladder
 	// Window is the reconsideration interval t. Zero means 2 s.
 	Window time.Duration
-	// Alpha is the decision model's tolerance band α. Zero means 0.2.
-	Alpha float64
 	// BlockSize caps the bytes buffered before a frame is cut. Zero means
 	// 128 KB. Values above MaxBlockSize are invalid.
 	BlockSize int
-	// StaticLevel pins the compression level (the paper's NO/LIGHT/
-	// MEDIUM/HEAVY static baselines). Adaptive (-1) and 0 both exist:
-	// Adaptive engages the decision model, 0 pins "no compression".
-	// NOTE: the zero value engages... see NewWriter: a zero StaticLevel
-	// with Static==false means Adaptive.
-	StaticLevel int
-	// Static marks StaticLevel as intentional. Without this flag the
-	// zero-valued config would pin level 0 rather than adapt.
-	Static bool
-	// Scheme, if non-nil, delegates level selection to an external policy
-	// (e.g. a coord.Stream handle from the fleet coordinator) instead of
-	// the writer's own solo decision model. Mutually exclusive with
-	// Static. The writer starts at Scheme.Level() and clamps anything the
-	// scheme returns to the ladder, so a misbehaving policy can degrade
-	// compression choices but never crash the stream.
-	Scheme Scheme
-	// Decider, if non-nil, is the solo level-selection policy instance
-	// the writer drives instead of constructing the default paper
-	// decider (core.AlgorithmOne) — the seam the pluggable policies
-	// (core.NewPolicy: "algone", "bandit", "ewma") plug into. The
-	// instance must be dedicated to this writer (policies are not safe
-	// for concurrent use) and must have been built for the ladder's
-	// level count. Mutually exclusive with Static and Scheme; the
-	// ablation knobs below are ignored when it is set (they parameterize
-	// the default construction only). If the policy implements
-	// core.RatioObserver, the writer feeds it each window's achieved
-	// wire/app ratio before the rate observation.
-	Decider core.Decider
+	// Policy chooses each decision window's level: the writer starts at
+	// Policy.Level() and feeds it every completed window (rate plus the
+	// window's app and wire byte totals). Nil means Algorithm 1 with the
+	// paper defaults; core.Static(l) pins level l (the paper's static
+	// baselines); core.New builds the registry policies; a coord.Stream
+	// joins the fleet coordinator. The policy must be dedicated to this
+	// writer (policies are not safe for concurrent use) and built for the
+	// ladder's level count. The writer clamps every level it returns to
+	// the ladder, so a misbehaving policy can degrade compression choices
+	// but never crash the stream. A core.Decider also feeds the decision
+	// event log.
+	Policy core.Policy
 	// Clock supplies time; nil means the wall clock.
 	Clock vclock.Clock
 	// OnWindow, if non-nil, is invoked after every completed decision
 	// window (also in static mode, with NextLevel == Level).
 	OnWindow func(WindowStat)
-	// DisableBackoff, MaxBackoffExp and DisableRevert are forwarded to
-	// the decision model (ablation knobs, see internal/core).
-	DisableBackoff bool
-	MaxBackoffExp  int
-	DisableRevert  bool
 	// Obs, if non-nil, is the observability scope the writer registers
 	// its metrics under (conventionally "<component>.stream.writer"):
 	// byte/block counters (total and per level), the window app-rate
@@ -176,7 +127,8 @@ type Writer struct {
 	cfg    WriterConfig
 	ladder compress.Ladder
 	clock  vclock.Clock
-	dec    core.Decider // nil in static/scheme mode
+	policy core.Policy
+	dec    core.Decider // policy, when it explains its decisions; else nil
 	probe  probe.Config // resolved from cfg.Probe at construction
 
 	// bufArena backs buf; scratchArena backs scratch (serial mode only —
@@ -249,46 +201,18 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	w.stats.BlocksPerLevel = make([]int64, len(cfg.Ladder))
 	w.obs = newWriterObs(cfg.Obs, cfg.Ladder)
 
-	switch {
-	case cfg.Static:
-		if cfg.Scheme != nil {
-			return nil, errors.New("stream: Static and Scheme are mutually exclusive")
-		}
-		if cfg.Decider != nil {
-			return nil, errors.New("stream: Static and Decider are mutually exclusive")
-		}
-		if cfg.StaticLevel < 0 || cfg.StaticLevel >= len(cfg.Ladder) {
-			return nil, fmt.Errorf("stream: static level %d outside ladder of %d levels", cfg.StaticLevel, len(cfg.Ladder))
-		}
-		w.level = cfg.StaticLevel
-	case cfg.Scheme != nil:
-		if cfg.Decider != nil {
-			return nil, errors.New("stream: Scheme and Decider are mutually exclusive")
-		}
-		lvl := cfg.Scheme.Level()
-		if lvl < 0 || lvl >= len(cfg.Ladder) {
-			return nil, fmt.Errorf("stream: scheme starts at level %d outside ladder of %d levels", lvl, len(cfg.Ladder))
-		}
-		w.level = lvl
-	case cfg.Decider != nil:
-		lvl := cfg.Decider.Level()
-		if lvl < 0 || lvl >= len(cfg.Ladder) {
-			return nil, fmt.Errorf("stream: decider starts at level %d outside ladder of %d levels", lvl, len(cfg.Ladder))
-		}
-		w.dec = cfg.Decider
-		w.level = lvl
-	default:
-		dec, err := core.NewDecider(core.Config{
-			Levels:         len(cfg.Ladder),
-			Alpha:          cfg.Alpha,
-			DisableBackoff: cfg.DisableBackoff,
-			MaxBackoffExp:  cfg.MaxBackoffExp,
-			DisableRevert:  cfg.DisableRevert,
-		})
+	w.policy = cfg.Policy
+	if w.policy == nil {
+		dec, err := core.New(core.PolicyAlgorithmOne, core.Config{Levels: len(cfg.Ladder)})
 		if err != nil {
 			return nil, err
 		}
-		w.dec = dec
+		w.policy = dec
+	}
+	w.dec, _ = w.policy.(core.Decider)
+	w.level = w.policy.Level()
+	if w.level < 0 || w.level >= len(cfg.Ladder) {
+		return nil, fmt.Errorf("stream: policy starts at level %d outside ladder of %d levels", w.level, len(cfg.Ladder))
 	}
 
 	// All validation passed: acquire pooled buffers (released in Close).
@@ -597,40 +521,18 @@ func (w *Writer) finishWindow(final bool) {
 	}
 	rate := float64(w.winAppBytes) / elapsed.Seconds()
 	w.obs.windowRate.Observe(rate)
+	w.statsMu.Lock()
+	winWire := w.winWireBytes
+	w.statsMu.Unlock()
 	next := w.level
 	if !final {
-		switch {
-		case w.cfg.Scheme != nil:
-			w.statsMu.Lock()
-			winWire := w.winWireBytes
-			w.statsMu.Unlock()
-			if ws, ok := w.cfg.Scheme.(WindowScheme); ok {
-				next = ws.ObserveWindowStats(rate, w.winAppBytes, winWire)
-			} else {
-				next = w.cfg.Scheme.Observe(rate)
-			}
-			// Clamp defensively: the scheme is external code.
-			if next < 0 {
-				next = 0
-			}
-			if next >= len(w.ladder) {
-				next = len(w.ladder) - 1
-			}
-		case w.dec != nil:
-			if ro, ok := w.dec.(core.RatioObserver); ok && w.winAppBytes > 0 {
-				w.statsMu.Lock()
-				winWire := w.winWireBytes
-				w.statsMu.Unlock()
-				ro.ObserveRatio(float64(winWire) / float64(w.winAppBytes))
-			}
-			next = w.dec.Observe(rate)
+		next = w.policy.Observe(core.Window{Rate: rate, AppBytes: w.winAppBytes, WireBytes: winWire})
+		if w.dec != nil {
 			w.obs.onDecision(w.dec.LastDecision())
 		}
+		next = min(max(next, 0), len(w.ladder)-1)
 	}
 	if w.cfg.OnWindow != nil {
-		w.statsMu.Lock()
-		winWire := w.winWireBytes
-		w.statsMu.Unlock()
 		w.cfg.OnWindow(WindowStat{
 			Start:     w.windowStart,
 			Elapsed:   elapsed,

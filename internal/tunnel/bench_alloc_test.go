@@ -38,7 +38,7 @@ func BenchmarkAllocTunnelRoundTrip(b *testing.B) {
 		}
 	}()
 
-	cfg := tunnel.Config{Static: true, StaticLevel: 1}
+	cfg := tunnel.Config{Policy: tunnel.StaticPolicy(1)}
 	exit, err := tunnel.ListenExit(ctx, "127.0.0.1:0", ln.Addr().String(), cfg)
 	if err != nil {
 		b.Fatal(err)

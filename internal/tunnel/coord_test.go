@@ -26,9 +26,7 @@ func TestCoordRegistersAndDetachesStreams(t *testing.T) {
 		Obs:    reg.Scope("coord"),
 	})
 	h := startScaleHarness(t, tunnel.Config{
-		Coord:       c,
-		CoordWeight: 2,
-		CoordTenant: "entry",
+		Policy: tunnel.CoordPolicy(c, coord.StreamConfig{Weight: 2, Tenant: "entry"}),
 	})
 
 	coordScope := reg.Scope("coord")
@@ -66,7 +64,7 @@ func TestCoordRegistersAndDetachesStreams(t *testing.T) {
 func TestCoordStreamRoundTrip(t *testing.T) {
 	leakcheck.Check(t)
 	c := coord.MustNew(coord.Config{Levels: 4})
-	h := startScaleHarness(t, tunnel.Config{Coord: c})
+	h := startScaleHarness(t, tunnel.Config{Policy: tunnel.CoordPolicy(c, coord.StreamConfig{})})
 
 	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {

@@ -113,7 +113,7 @@ func TestConnStatsUnderPeerReset(t *testing.T) {
 	target, receivedRequest := startRequestResponse(t, response)
 	collector := &statsCollector{}
 	cfgExit := tunnel.Config{
-		Static: true, StaticLevel: 1,
+		Policy: tunnel.StaticPolicy(1),
 		OnDone: collector.add,
 		Logf:   t.Logf,
 		// Reset the exit's wire conn after ~100 KB written: the tiny
@@ -123,7 +123,7 @@ func TestConnStatsUnderPeerReset(t *testing.T) {
 		},
 	}
 	cfgEntry := tunnel.Config{
-		Static: true, StaticLevel: 1,
+		Policy: tunnel.StaticPolicy(1),
 		OnDone: collector.add,
 		Logf:   t.Logf,
 	}
@@ -204,7 +204,7 @@ func TestIdleTimeoutTearsDownStalledWire(t *testing.T) {
 	target, _ := startRequestResponse(t, response)
 	collector := &statsCollector{}
 	cfgExit := tunnel.Config{
-		Static: true, StaticLevel: 1,
+		Policy:      tunnel.StaticPolicy(1),
 		OnDone:      collector.add,
 		Logf:        t.Logf,
 		IdleTimeout: 200 * time.Millisecond,
@@ -212,7 +212,7 @@ func TestIdleTimeoutTearsDownStalledWire(t *testing.T) {
 			return faultio.WrapConn(c, faultio.Config{Seed: 5, StallAfter: 64 << 10})
 		},
 	}
-	cfgEntry := tunnel.Config{Static: true, StaticLevel: 1, OnDone: collector.add, Logf: t.Logf, IdleTimeout: time.Second}
+	cfgEntry := tunnel.Config{Policy: tunnel.StaticPolicy(1), OnDone: collector.add, Logf: t.Logf, IdleTimeout: time.Second}
 
 	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", target, cfgExit)
 	if err != nil {
@@ -266,14 +266,14 @@ func TestCorruptWireNeverDeliversDamage(t *testing.T) {
 	target, receivedRequest := startRequestResponse(t, []byte("ok"))
 	collector := &statsCollector{}
 	cfgEntry := tunnel.Config{
-		Static: true, StaticLevel: 1,
+		Policy: tunnel.StaticPolicy(1),
 		OnDone: collector.add,
 		Logf:   t.Logf,
 		WrapWire: func(c net.Conn) net.Conn {
 			return faultio.WrapConn(c, faultio.Config{Seed: 13, CorruptBit: 0.2})
 		},
 	}
-	cfgExit := tunnel.Config{Static: true, StaticLevel: 1, Logf: t.Logf}
+	cfgExit := tunnel.Config{Policy: tunnel.StaticPolicy(1), Logf: t.Logf}
 
 	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", target, cfgExit)
 	if err != nil {

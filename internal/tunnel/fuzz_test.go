@@ -1,6 +1,7 @@
 package tunnel
 
 import (
+	"adaptio/internal/core"
 	"bytes"
 	"context"
 	"io"
@@ -18,7 +19,7 @@ import (
 func tunnelFrameSeed(tb testing.TB) []byte {
 	tb.Helper()
 	var wire bytes.Buffer
-	w, err := stream.NewWriter(&wire, stream.WriterConfig{Static: true, StaticLevel: 1, BlockSize: 1024})
+	w, err := stream.NewWriter(&wire, stream.WriterConfig{Policy: core.Static(1), BlockSize: 1024})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func FuzzTunnelFrame(f *testing.F) {
 		go func() {
 			defer close(relayDone)
 			relay(context.Background(), plainRelay, wireRelay,
-				Config{Static: true, StaticLevel: 1}, "exit->entry",
+				Config{Policy: StaticPolicy(1)}, "exit->entry",
 				newTunnelMetrics(nil))
 		}()
 

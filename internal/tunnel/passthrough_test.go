@@ -247,7 +247,7 @@ func TestPassthroughIdleTimeout(t *testing.T) {
 // it, each message must complete within a bound far below the test timeout.
 func TestRelayCoalescingFlushesPartialBlocks(t *testing.T) {
 	leakcheck.Check(t)
-	addr, _ := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1})
+	addr, _ := startTunnel(t, tunnel.Config{Policy: tunnel.StaticPolicy(1)})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -279,7 +279,7 @@ func TestRelayCoalescingFlushesPartialBlocks(t *testing.T) {
 // after the client half-closes (writer Close flushes the remainder).
 func TestRelayFlushIntervalDisabled(t *testing.T) {
 	leakcheck.Check(t)
-	addr, _ := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1, FlushInterval: -1})
+	addr, _ := startTunnel(t, tunnel.Config{Policy: tunnel.StaticPolicy(1), FlushInterval: -1})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -355,7 +355,7 @@ func TestRelayCopyAccountingMetrics(t *testing.T) {
 		// runs (startTunnel shares cfg, but reg is per-run), so counters
 		// cover the entry's tx (ReadDirect + stored-raw vectored frames)
 		// and rx (identity frames streamed direct) paths.
-		reg := run(t, tunnel.Config{Static: true, StaticLevel: 0})
+		reg := run(t, tunnel.Config{Policy: tunnel.StaticPolicy(0)})
 		if copied := counter(t, reg, "tunnel.relay.bytes_copied"); copied != 0 {
 			t.Errorf("bytes_copied = %d at NO level, want 0", copied)
 		}
@@ -376,7 +376,7 @@ func TestRelayCopyAccountingMetrics(t *testing.T) {
 		}
 	})
 	t.Run("light-compresses-and-copies", func(t *testing.T) {
-		reg := run(t, tunnel.Config{Static: true, StaticLevel: 1})
+		reg := run(t, tunnel.Config{Policy: tunnel.StaticPolicy(1)})
 		copied := counter(t, reg, "tunnel.relay.bytes_copied")
 		if copied == 0 {
 			t.Error("bytes_copied = 0 at LIGHT, codec copies must be accounted")

@@ -5,19 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"adaptio/internal/block"
-	"adaptio/internal/coord"
-	"adaptio/internal/core"
 	"adaptio/internal/obs"
 	"adaptio/internal/stream"
 )
-
-// deciderSeq hands every connection's policy a distinct seed derivation
-// index (process-wide; determinism per connection index, not per endpoint).
-var deciderSeq atomic.Uint64
 
 // relayBufSize is the relay's data-plane unit: the pooled copy buffer of
 // the passthrough fallback, the per-splice byte cap of the Linux fast path,
@@ -66,24 +59,10 @@ type compressPath struct {
 
 func (p *compressPath) run() error {
 	wcfg := p.cfg.writerConfig(p.m.streamScope)
-	if p.cfg.Coord != nil && !p.cfg.Static {
-		cs := p.cfg.Coord.Register(coord.StreamConfig{
-			Weight: p.cfg.CoordWeight,
-			Tenant: p.cfg.CoordTenant,
-		})
-		wcfg.Scheme = cs
-		defer cs.Detach()
-	}
-	if p.cfg.Decider != "" && !p.cfg.Static && wcfg.Scheme == nil {
-		d, err := core.NewPolicy(p.cfg.Decider, core.PolicyConfig{
-			Levels: len(stream.DefaultLadder()),
-			Alpha:  p.cfg.Alpha,
-			Seed:   p.cfg.DeciderSeed ^ deciderSeq.Add(1)<<20,
-		})
-		if err != nil {
-			return err
-		}
-		wcfg.Decider = d
+	if p.cfg.Policy != nil {
+		policy, release := p.cfg.Policy()
+		defer release()
+		wcfg.Policy = policy
 	}
 	w, err := stream.NewWriter(p.wire, wcfg)
 	if err != nil {

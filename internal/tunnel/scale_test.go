@@ -192,7 +192,10 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	response := corpus.Generate(corpus.Moderate, 256<<10, 11)
 
 	// Service: read the request, pause, then respond — so the relay is
-	// mid-flight when Close begins.
+	// mid-flight when Close begins. A probe dial of waitNewDialsFail can
+	// land before Close has shut the entry's listener and be served; the
+	// service closes every such extra connection at once, so its relay
+	// ends instead of holding the drain open for the whole grace period.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +206,15 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 		if err != nil {
 			return
 		}
+		go func() {
+			for {
+				extra, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				extra.Close()
+			}
+		}()
 		defer conn.Close()
 		io.Copy(io.Discard, conn)
 		time.Sleep(200 * time.Millisecond)
@@ -330,9 +342,9 @@ func TestDrainForceClosesStalledRelayUnderFaults(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	exitCfg := tunnel.Config{
-		Static: true, StaticLevel: 1,
-		Logf: t.Logf,
-		Obs:  reg.Scope("tunnel"),
+		Policy: tunnel.StaticPolicy(1),
+		Logf:   t.Logf,
+		Obs:    reg.Scope("tunnel"),
 		// Stall the wire after 32 KB: the response jams mid-relay forever.
 		WrapWire: func(c net.Conn) net.Conn {
 			return faultio.WrapConn(c, faultio.Config{Seed: 23, StallAfter: 32 << 10})

@@ -9,8 +9,8 @@
 //	    ◀──plain──       ◀══compressed══      ◀──plain──
 //
 // Each direction of every connection carries an independent adaptive
-// compression stream (its own Decider), so the two directions converge to
-// different levels when their data or available bandwidth differ.
+// compression stream (its own level policy), so the two directions converge
+// to different levels when their data or available bandwidth differ.
 //
 // The tunnel is hardened against the faults shared cloud I/O actually
 // produces (see docs/robustness.md and internal/faultio): per-connection
@@ -39,8 +39,6 @@ import (
 	"time"
 
 	"adaptio/internal/compress/probe"
-	"adaptio/internal/coord"
-	"adaptio/internal/core"
 	"adaptio/internal/obs"
 	"adaptio/internal/stream"
 	"adaptio/internal/xrand"
@@ -66,18 +64,14 @@ const (
 // Config tunes the compression and robustness behaviour of a tunnel
 // endpoint.
 type Config struct {
-	// Window and Alpha parameterize the decision model (zero values mean
-	// the paper's t=2 s, α=0.2).
+	// Window is the decision window t; zero means the paper's 2 s.
 	Window time.Duration
-	Alpha  float64
-	// Static pins a level instead of adapting (for comparison runs).
-	Static      bool
-	StaticLevel int
-	// Decider names the solo level-selection policy each connection's
-	// compress path drives (core.PolicyNames: "algone", "bandit",
-	// "ewma"); empty means the paper's Algorithm 1. Ignored in Static
-	// mode and while a Coord steers the stream. See docs/deciders.md.
-	Decider string
+	// Policy makes each connection's level policy and releases it when
+	// the connection's compress path ends: StaticPolicy pins a level,
+	// DeciderPolicy runs a registry policy (docs/deciders.md),
+	// CoordPolicy joins the fleet coordinator (docs/coordination.md).
+	// Nil means Algorithm 1 with the paper defaults on every connection.
+	Policy PolicyFactory
 	// Probe overrides the entropy pre-probe each connection's compress
 	// path consults before handing a block to the codec (see
 	// stream.WriterConfig.Probe): hopeless blocks go straight to
@@ -85,10 +79,6 @@ type Config struct {
 	// means probe.Default(); &probe.Disabled() compresses every block
 	// unconditionally. actunnel exposes this as -no-probe.
 	Probe *probe.Config
-	// DeciderSeed seeds stochastic policies; every connection derives a
-	// distinct per-stream seed from it, so two endpoints with the same
-	// seed make reproducible decision sequences per connection index.
-	DeciderSeed uint64
 	// OnDone, if non-nil, receives the sender-side compression stats of
 	// every finished connection direction. ConnStats.Err, when non-nil,
 	// wraps a typed sentinel: ErrIdleTimeout, stream.ErrBadFrame (via
@@ -141,9 +131,8 @@ type Config struct {
 	// on Linux TCP paths, via one pooled buffer elsewhere. Both tunnel
 	// endpoints must agree on Passthrough (the wire carries no frames to
 	// tell them apart) and the wire loses the frame CRC: integrity rests
-	// on TCP's checksums alone, as with any plain TCP proxy. Static,
-	// StaticLevel, Window, Alpha and Coord are ignored. See
-	// docs/performance.md, "Zero-copy relay".
+	// on TCP's checksums alone, as with any plain TCP proxy. Window and
+	// Policy are ignored. See docs/performance.md, "Zero-copy relay".
 	Passthrough bool
 	// FlushInterval bounds how long the compress path may hold a partial
 	// block waiting for more data before cutting a frame, so low-rate or
@@ -159,21 +148,6 @@ type Config struct {
 	// totals, plus the compression stream's own metrics under
 	// "<scope>.stream.writer". actunnel wires this to -metrics-addr.
 	Obs *obs.Scope
-
-	// Coord, if non-nil, joins every connection's compress path to the
-	// fleet-level compression coordinator: the stream registers when its
-	// relay starts, takes its levels from the coordinator's weighted-fair
-	// budget allocation, and detaches (falling back to the solo decision
-	// model) when the connection closes. Ignored in Static mode — a
-	// pinned level is an explicit operator decision. See
-	// docs/coordination.md.
-	Coord *coord.Coordinator
-	// CoordWeight is the fair-share weight of this endpoint's streams in
-	// the coordinator's budget division; zero means 1.
-	CoordWeight float64
-	// CoordTenant labels this endpoint's streams in coordinator
-	// diagnostics.
-	CoordTenant string
 }
 
 // tunnelMetrics are an endpoint's instruments, resolved once per endpoint
@@ -260,12 +234,9 @@ type ConnStats struct {
 
 func (c Config) writerConfig(obsScope *obs.Scope) stream.WriterConfig {
 	return stream.WriterConfig{
-		Window:      c.Window,
-		Alpha:       c.Alpha,
-		Static:      c.Static,
-		StaticLevel: c.StaticLevel,
-		Obs:         obsScope,
-		Probe:       c.Probe,
+		Window: c.Window,
+		Obs:    obsScope,
+		Probe:  c.Probe,
 	}
 }
 
@@ -395,9 +366,6 @@ func ListenExit(ctx context.Context, listenAddr, targetAddr string, cfg Config) 
 }
 
 func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string, acceptsPlain bool) (*Endpoint, error) {
-	if cfg.Decider != "" && !core.ValidPolicy(cfg.Decider) {
-		return nil, fmt.Errorf("tunnel: unknown decider policy %q (want one of %v)", cfg.Decider, core.PolicyNames())
-	}
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, err

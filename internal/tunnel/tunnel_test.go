@@ -135,7 +135,7 @@ func TestTunnelEchoRoundTrip(t *testing.T) {
 
 func TestTunnelStaticCompressionShrinksWire(t *testing.T) {
 	leakcheck.Check(t)
-	addr, collector := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1})
+	addr, collector := startTunnel(t, tunnel.Config{Policy: tunnel.StaticPolicy(1)})
 	payload := corpus.Generate(corpus.High, 2<<20, 2)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestTunnelStaticCompressionShrinksWire(t *testing.T) {
 func TestTunnelDirectionsAdaptIndependently(t *testing.T) {
 	leakcheck.Check(t)
 	collector := &statsCollector{}
-	cfg := tunnel.Config{Static: true, StaticLevel: 1, OnDone: collector.add, Logf: t.Logf}
+	cfg := tunnel.Config{Policy: tunnel.StaticPolicy(1), OnDone: collector.add, Logf: t.Logf}
 
 	// The "service": reads everything, then responds with LOW data.
 	lowData := corpus.Generate(corpus.Low, 2<<20, 7)
